@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test faults chaos cluster-chaos ingest-chaos overload-chaos gateway-chaos bench quicktest telemetry-test slo-test trace-test profile-test monitor-demo overload-demo gateway-demo profile-demo
+.PHONY: test faults chaos cluster-chaos ingest-chaos overload-chaos gateway-chaos bench quicktest telemetry-test slo-test trace-test profile-test monitor-demo overload-demo gateway-demo profile-demo bench-smoke
 
 test:            ## full tier-1 suite (RuntimeWarnings are errors; chaos excluded)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -53,3 +53,16 @@ profile-demo:    ## run the alert-triggered profile-capture demo
 
 bench:           ## regenerate all paper tables/figures
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+bench-smoke:     ## every perfbench workload for 2 s, untraced and traced; fails unless each run exits 0 and ends "correct": true
+	@for w in scan-50k fanout-write-20k wire-model-2k; do \
+	  for t in 0 1; do \
+	    echo "bench-smoke: $$w --trace $$t"; \
+	    out=$$($(PYTHON) perfbench/run.py --workload $$w --seed 1 \
+	      --seconds 2 --trace $$t) \
+	      || { echo "$$out"; echo "bench-smoke: $$w --trace $$t exited non-zero"; exit 1; }; \
+	    echo "$$out" | tail -n 1; \
+	    echo "$$out" | tail -n 1 | grep -q '"correct": true' \
+	      || { echo "bench-smoke: $$w --trace $$t is not correct"; exit 1; }; \
+	  done; \
+	done

@@ -21,85 +21,47 @@ import pytest
 from repro.experiments import ExperimentRunner
 from repro.obs import MetricsRegistry
 
-BENCH_ARTIFACT = pathlib.Path(__file__).parent / "BENCH_components.json"
-BENCH_SERVING_ARTIFACT = pathlib.Path(__file__).parent / "BENCH_serving.json"
-BENCH_INGEST_ARTIFACT = pathlib.Path(__file__).parent / "BENCH_ingest.json"
-BENCH_OVERLOAD_ARTIFACT = pathlib.Path(__file__).parent / "BENCH_overload.json"
-BENCH_TRACING_ARTIFACT = pathlib.Path(__file__).parent / "BENCH_tracing.json"
-BENCH_GATEWAY_ARTIFACT = pathlib.Path(__file__).parent / "BENCH_gateway.json"
-BENCH_PROFILER_ARTIFACT = pathlib.Path(__file__).parent / "BENCH_profiler.json"
+#: Artifact ``BENCH_<name>.json`` → the benchmarks recording into it
+#: (the help text of its ``bench_value`` gauge).  Each artifact has
+#: its own registry so one subsystem's budget is tracked apart from
+#: the others:
+#:
+#: * ``components`` — substrate micro-benchmarks;
+#: * ``serving`` — quality-observability overhead (probe replay, drift
+#:   sketch updates, alert evaluation);
+#: * ``ingest`` — delta-overlay query overhead, WAL recovery-replay
+#:   throughput;
+#: * ``overload`` — goodput at 1x/3x/10x offered load, static vs
+#:   adaptive admission;
+#: * ``tracing`` — span overhead per request with tracing off / on /
+#:   on + tail sampling;
+#: * ``gateway`` — requests/sec and p99 over real sockets with the
+#:   result cache off/on, drain latency under load;
+#: * ``profiler`` — per-request latency with the sampling profiler off
+#:   vs on, sampler pass cost (the <5% continuous-profiling budget).
+_ARTIFACTS = {
+    "components": "micro-benchmark",
+    "serving": "serving benchmark",
+    "ingest": "ingest benchmark",
+    "overload": "overload benchmark",
+    "tracing": "tracing benchmark",
+    "gateway": "gateway benchmark",
+    "profiler": "profiler benchmark",
+}
 
-_registry = MetricsRegistry()
-_bench_value = _registry.gauge(
-    "bench_value", "headline value reported by each micro-benchmark",
-    labels=("bench",))
-_bench_wall_ms = _registry.gauge(
-    "bench_wall_ms", "mean wall time per benchmark iteration (ms)",
-    labels=("bench",))
 
-# The serving/observability overhead numbers (probe replay, drift
-# sketch updates, alert evaluation) land in their own artifact so the
-# quality-observability budget can be tracked separately from the
-# substrate numbers.
-_serving_registry = MetricsRegistry()
-_serving_value = _serving_registry.gauge(
-    "bench_value", "headline value reported by each serving benchmark",
-    labels=("bench",))
-_serving_wall_ms = _serving_registry.gauge(
-    "bench_wall_ms", "mean wall time per benchmark iteration (ms)",
-    labels=("bench",))
+def _registry(what: str):
+    registry = MetricsRegistry()
+    value = registry.gauge(
+        "bench_value", f"headline value reported by each {what}",
+        labels=("bench",))
+    wall_ms = registry.gauge(
+        "bench_wall_ms", "mean wall time per benchmark iteration (ms)",
+        labels=("bench",))
+    return registry, value, wall_ms
 
-# Streaming-ingest numbers (delta-overlay query overhead, WAL
-# recovery-replay throughput) track the ingest subsystem's budget.
-_ingest_registry = MetricsRegistry()
-_ingest_value = _ingest_registry.gauge(
-    "bench_value", "headline value reported by each ingest benchmark",
-    labels=("bench",))
-_ingest_wall_ms = _ingest_registry.gauge(
-    "bench_wall_ms", "mean wall time per benchmark iteration (ms)",
-    labels=("bench",))
 
-# Overload numbers (goodput at 1x/3x/10x offered load, static vs
-# adaptive admission) track the admission plane's value.
-_overload_registry = MetricsRegistry()
-_overload_value = _overload_registry.gauge(
-    "bench_value", "headline value reported by each overload benchmark",
-    labels=("bench",))
-_overload_wall_ms = _overload_registry.gauge(
-    "bench_wall_ms", "mean wall time per benchmark iteration (ms)",
-    labels=("bench",))
-
-# Gateway numbers (requests/sec and p99 over real sockets with the
-# result cache off/on, drain latency under load) track the HTTP
-# front door's overhead on top of the in-process service.
-_gateway_registry = MetricsRegistry()
-_gateway_value = _gateway_registry.gauge(
-    "bench_value", "headline value reported by each gateway benchmark",
-    labels=("bench",))
-_gateway_wall_ms = _gateway_registry.gauge(
-    "bench_wall_ms", "mean wall time per benchmark iteration (ms)",
-    labels=("bench",))
-
-# Profiler numbers (per-request latency with the sampling profiler
-# off vs on at the default rate, sampler pass cost) prove the
-# continuous-profiling tax stays under its <5% budget.
-_profiler_registry = MetricsRegistry()
-_profiler_value = _profiler_registry.gauge(
-    "bench_value", "headline value reported by each profiler benchmark",
-    labels=("bench",))
-_profiler_wall_ms = _profiler_registry.gauge(
-    "bench_wall_ms", "mean wall time per benchmark iteration (ms)",
-    labels=("bench",))
-
-# Tracing numbers (span overhead per request with tracing off / on /
-# on + tail sampling) track the observability tax on the hot path.
-_tracing_registry = MetricsRegistry()
-_tracing_value = _tracing_registry.gauge(
-    "bench_value", "headline value reported by each tracing benchmark",
-    labels=("bench",))
-_tracing_wall_ms = _tracing_registry.gauge(
-    "bench_wall_ms", "mean wall time per benchmark iteration (ms)",
-    labels=("bench",))
+_REGISTRIES = {name: _registry(what) for name, what in _ARTIFACTS.items()}
 
 
 def pytest_configure(config):
@@ -111,23 +73,12 @@ def pytest_configure(config):
 def pytest_sessionfinish(session, exitstatus):
     if getattr(session.config.option, "collectonly", False):
         return
-    for registry, artifact in ((_registry, BENCH_ARTIFACT),
-                               (_serving_registry,
-                                BENCH_SERVING_ARTIFACT),
-                               (_ingest_registry,
-                                BENCH_INGEST_ARTIFACT),
-                               (_overload_registry,
-                                BENCH_OVERLOAD_ARTIFACT),
-                               (_tracing_registry,
-                                BENCH_TRACING_ARTIFACT),
-                               (_gateway_registry,
-                                BENCH_GATEWAY_ARTIFACT),
-                               (_profiler_registry,
-                                BENCH_PROFILER_ARTIFACT)):
+    for name, (registry, _, _) in _REGISTRIES.items():
         recorded = any(family.children()
                        for family in registry.families())
         if recorded:
-            registry.dump_json(artifact)
+            registry.dump_json(
+                pathlib.Path(__file__).parent / f"BENCH_{name}.json")
 
 
 def _mean_ms(benchmark, fallback_s: float) -> float:
@@ -139,58 +90,32 @@ def _mean_ms(benchmark, fallback_s: float) -> float:
         return fallback_s * 1000.0
 
 
-def _recorder(request, value_gauge, wall_gauge):
-    started = time.perf_counter()
+def _recorder(artifact: str, fixture_name: str):
+    """A fixture recording ``(value, wall_ms)`` for the current
+    benchmark test into ``BENCH_<artifact>.json``."""
+    _, value_gauge, wall_gauge = _REGISTRIES[artifact]
 
-    def record(value: float, benchmark=None, name: str | None = None):
-        name = name or request.node.name.removeprefix("test_bench_")
-        value_gauge.labels(bench=name).set(float(value))
-        wall_gauge.labels(bench=name).set(
-            _mean_ms(benchmark, time.perf_counter() - started))
+    def record_fixture(request):
+        started = time.perf_counter()
 
-    return record
+        def record(value: float, benchmark=None, name: str | None = None):
+            name = name or request.node.name.removeprefix("test_bench_")
+            value_gauge.labels(bench=name).set(float(value))
+            wall_gauge.labels(bench=name).set(
+                _mean_ms(benchmark, time.perf_counter() - started))
 
+        return record
 
-@pytest.fixture
-def bench_record(request):
-    """Record ``(value, wall_ms)`` for the current benchmark test."""
-    return _recorder(request, _bench_value, _bench_wall_ms)
-
-
-@pytest.fixture
-def bench_record_serving(request):
-    """Like ``bench_record`` but lands in ``BENCH_serving.json``."""
-    return _recorder(request, _serving_value, _serving_wall_ms)
+    return pytest.fixture(record_fixture, name=fixture_name)
 
 
-@pytest.fixture
-def bench_record_ingest(request):
-    """Like ``bench_record`` but lands in ``BENCH_ingest.json``."""
-    return _recorder(request, _ingest_value, _ingest_wall_ms)
-
-
-@pytest.fixture
-def bench_record_overload(request):
-    """Like ``bench_record`` but lands in ``BENCH_overload.json``."""
-    return _recorder(request, _overload_value, _overload_wall_ms)
-
-
-@pytest.fixture
-def bench_record_tracing(request):
-    """Like ``bench_record`` but lands in ``BENCH_tracing.json``."""
-    return _recorder(request, _tracing_value, _tracing_wall_ms)
-
-
-@pytest.fixture
-def bench_record_gateway(request):
-    """Like ``bench_record`` but lands in ``BENCH_gateway.json``."""
-    return _recorder(request, _gateway_value, _gateway_wall_ms)
-
-
-@pytest.fixture
-def bench_record_profiler(request):
-    """Like ``bench_record`` but lands in ``BENCH_profiler.json``."""
-    return _recorder(request, _profiler_value, _profiler_wall_ms)
+bench_record = _recorder("components", "bench_record")
+bench_record_serving = _recorder("serving", "bench_record_serving")
+bench_record_ingest = _recorder("ingest", "bench_record_ingest")
+bench_record_overload = _recorder("overload", "bench_record_overload")
+bench_record_tracing = _recorder("tracing", "bench_record_tracing")
+bench_record_gateway = _recorder("gateway", "bench_record_gateway")
+bench_record_profiler = _recorder("profiler", "bench_record_profiler")
 
 
 @pytest.fixture(scope="session")

@@ -20,9 +20,11 @@
 runs the paper's bag protocol on the test split; ``search`` answers
 fridge queries with the trained engine; ``serve`` answers the same
 query through the fault-contained resilient service (deadline,
-circuit breakers, degraded fallback; ``--shards N`` serves from a
-sharded, replicated index cluster; ``--ingest-log DIR`` recovers and
-serves streamed deltas) and reports the structured request outcome;
+circuit breakers, degraded fallback; ``--shards N --replicas R``
+with N > 1 serves from a sharded, replicated index cluster built as
+``ClusterConfig(num_shards=N, replication=R)``; ``--ingest-log DIR``
+recovers and serves streamed deltas) and reports the structured
+request outcome;
 ``ingest`` appends, tombstones, compacts, or inspects a streaming
 write-ahead delta log without a running service; ``gateway`` serves
 search/ingest over HTTP through the hardened front-end (per-tenant
@@ -541,6 +543,16 @@ def _parse_tenant_policy(spec: str):
     return TenantPolicy(**kwargs)
 
 
+def _cluster_config(shards: int, replicas: int = 2):
+    """``--shards``/``--replicas`` → a cluster topology, or ``None``
+    for the monolithic index."""
+    from .serving import ClusterConfig
+
+    if shards <= 1:
+        return None
+    return ClusterConfig(num_shards=shards, replication=replicas)
+
+
 def _admission_config(args):
     """Build an :class:`AdmissionConfig` from serve/loadgen flags, or
     ``None`` when the legacy static path was asked for."""
@@ -573,7 +585,7 @@ def _command_serve(args) -> int:
         deadline=args.deadline, max_inflight=args.max_inflight,
         admission=_admission_config(args),
         degraded_enabled=not args.no_degraded,
-        shards=args.shards, replicas=args.replicas),
+        cluster=_cluster_config(args.shards, args.replicas)),
         telemetry=telemetry, drift_reference=reference,
         ingest_log=args.ingest_log)
     if service.ingestor is not None:
@@ -1178,7 +1190,7 @@ def _command_profile(args) -> int:
     test = featurizer.encode_split(dataset, "test")
     engine = RecipeSearchEngine(model, featurizer, dataset, test)
     service = ResilientSearchService(engine, ServiceConfig(
-        shards=args.shards))
+        cluster=_cluster_config(args.shards)))
     queries = [list(dataset[i].ingredients)[:4] or ["salt"]
                for i in range(min(len(dataset), 64))]
     profiler = service.start_profiler(args.hz)

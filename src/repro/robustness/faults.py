@@ -38,9 +38,9 @@ so the guards themselves are testable:
 
 Wire-level faults — misbehaving *clients* rather than broken
 internals (slowloris drips, mid-response resets, connection floods,
-truncated bodies) — live in :mod:`repro.serving.netfaults`; they need
-a live gateway socket and so run in the ``gateway`` chaos suite, not
-here.
+truncated bodies) — live with the tests in ``tests/_netfaults.py``;
+they need a live gateway socket and so run in the ``gateway`` chaos
+suite, not here.
 
 All injectors are deterministic: faults fire at explicit step/epoch/
 request indices, never at random, so a failing test replays exactly.

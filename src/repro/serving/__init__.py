@@ -32,10 +32,7 @@ Production containment around :class:`~repro.core.engine.RecipeSearchEngine`:
 * :mod:`~repro.serving.gateway` — the hardened stdlib HTTP front-end:
   wire armor (timeouts, size bounds, slowloris reaper,
   shed-at-accept), graceful SIGTERM drain, and a swap-aware LRU+TTL
-  result cache with stale-while-revalidate under brownout;
-* :mod:`~repro.serving.netfaults` — real-socket misbehaving clients
-  (slowloris, mid-response resets, connection floods, truncated
-  bodies) for the gateway chaos suite.
+  result cache with stale-while-revalidate under brownout.
 """
 
 from .admission import (BROWNOUT_LADDER, CRITICALITIES, SHED_REASONS,
@@ -57,8 +54,6 @@ from .ingest import (CompactionReport, CompactionThread, CompactionTicket,
                      recipe_to_payload, scan_log)
 from .loadgen import (GOOD_STATUSES, HttpRequester, LoadGenerator,
                       LoadReport, TenantLoad, TenantReport)
-from .netfaults import (ConnectionFlood, DisconnectMidResponse,
-                        SlowClient, TruncatedBody)
 from .retry import CircuitBreaker, CircuitState, RetryPolicy
 from .service import (INGEST_STATUSES, STATUSES, IngestOutcome,
                       RequestOutcome, ResilientSearchService,
@@ -93,6 +88,4 @@ __all__ = [
     "GatewayConfig", "ResultCache", "Gateway",
     "normalize_search_request", "parse_deadline_header",
     "query_fingerprint",
-    "SlowClient", "DisconnectMidResponse", "ConnectionFlood",
-    "TruncatedBody",
 ]

@@ -73,6 +73,11 @@ SHED_REASONS = ("rate_limit", "queue_full", "expired", "brownout",
 BROWNOUT_LADDER = ("hedge_off", "shrink_k", "degraded",
                    "shed_background")
 
+#: Fair-queue weight of a tenant with no configured policy.
+_DEFAULT_WEIGHT = 1.0
+#: Deficit-round-robin top-up per rotation, scaled by lane weight.
+_QUANTUM = 1.0
+
 
 # ----------------------------------------------------------------------
 # Configuration
@@ -115,10 +120,6 @@ class BrownoutConfig:
     release_pressure: float = 0.8
     dwell_s: float = 0.25          # sustained-hot time per engage step
     release_dwell_s: float = 0.5   # sustained-cool time per release step
-    k_cap: int = 3                 # per-request k under "shrink_k"
-    #: Burn rate at or above which the ladder engages regardless of
-    #: pressure (couples to the SLO page factor); ``None`` disables.
-    engage_burn: float | None = 14.4
     ladder: tuple[str, ...] = BROWNOUT_LADDER
 
     def __post_init__(self):
@@ -127,8 +128,6 @@ class BrownoutConfig:
         if self.engage_pressure <= self.release_pressure:
             raise ValueError("engage_pressure must exceed "
                              "release_pressure (hysteresis)")
-        if self.k_cap < 1:
-            raise ValueError("k_cap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -136,10 +135,6 @@ class AdmissionConfig:
     """Everything the adaptive admission path needs to know."""
 
     tenants: tuple[TenantPolicy, ...] = ()
-    #: Policy applied to tenants not named in ``tenants`` (each unknown
-    #: tenant still gets its *own* bucket and queue lane).
-    default_policy: TenantPolicy = field(
-        default_factory=lambda: TenantPolicy("default"))
     max_queue_depth: int = 64      # per tenant
     poll_interval_s: float = 0.002  # slot-wait poll period
     # -- adaptive concurrency (AIMD) --------------------------------
@@ -168,15 +163,9 @@ class AdmissionConfig:
         for policy in self.tenants:
             if policy.name == tenant:
                 return policy
-        if tenant == self.default_policy.name:
-            return self.default_policy
         # Unknown tenants share the default *policy* but not its
         # bucket/queue lane — isolation by name, not by config entry.
-        return TenantPolicy(
-            tenant, weight=self.default_policy.weight,
-            rate=self.default_policy.rate,
-            burst=self.default_policy.burst,
-            criticality=self.default_policy.criticality)
+        return TenantPolicy(tenant)
 
 
 @dataclass(frozen=True)
@@ -214,11 +203,11 @@ class TokenBucket:
                            self._tokens + (now - self._last) * self.rate)
         self._last = now
 
-    def try_take(self, cost: float = 1.0) -> bool:
+    def try_take(self) -> bool:
         with self._lock:
             self._refill_locked()
-            if self._tokens >= cost:
-                self._tokens -= cost
+            if self._tokens >= 1.0:
+                self._tokens -= 1.0
                 return True
             return False
 
@@ -236,7 +225,7 @@ class FairQueue:
     """Weighted DRR across tenants, strict priority across tiers.
 
     Classic deficit round robin with unit cost: each tenant lane keeps
-    a deficit counter topped up by ``quantum * weight`` once per
+    a deficit counter topped up by ``_QUANTUM * weight`` once per
     rotation; a lane serves while its deficit covers the cost, so over
     any backlogged window tenants drain in proportion to their weights
     with the textbook bounded-deficit guarantee (a lane's lag never
@@ -252,19 +241,13 @@ class FairQueue:
     """
 
     def __init__(self, weights: dict[str, float] | None = None, *,
-                 default_weight: float = 1.0, max_depth: int = 64,
-                 quantum: float = 1.0,
+                 max_depth: int = 64,
                  drop_if: Callable[[object], str | None] | None = None,
                  on_drop: Callable[[str, object, str], None] | None = None):
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if quantum <= 0 or default_weight <= 0:
-            raise ValueError("quantum and default_weight must be "
-                             "positive")
         self._weights = dict(weights or {})
-        self._default_weight = float(default_weight)
         self._max_depth = int(max_depth)
-        self._quantum = float(quantum)
         self._drop_if = drop_if
         self._on_drop = on_drop
         self._lanes: dict[tuple[int, str], deque] = {}
@@ -277,7 +260,7 @@ class FairQueue:
         return self._size
 
     def weight(self, tenant: str) -> float:
-        return self._weights.get(tenant, self._default_weight)
+        return self._weights.get(tenant, _DEFAULT_WEIGHT)
 
     def set_weight(self, tenant: str, weight: float) -> None:
         if weight <= 0:
@@ -363,8 +346,8 @@ class FairQueue:
                 return tenant, item
             # Not this lane's turn yet: top up and rotate.  The loop
             # terminates because every full rotation raises some
-            # backlogged lane's deficit by quantum * weight > 0.
-            self._deficit[key] += self._quantum * self.weight(tenant)
+            # backlogged lane's deficit by _QUANTUM * weight > 0.
+            self._deficit[key] += _QUANTUM * self.weight(tenant)
             rotation.rotate(-1)
         return None
 
@@ -426,12 +409,12 @@ class BrownoutController:
 
     Level 0 is full quality; level ``i`` activates the first ``i``
     mechanisms of the ladder.  Engaging requires pressure at or above
-    ``engage_pressure`` (or burn rate at/above ``engage_burn``) held
-    for ``dwell_s``; releasing requires pressure at or below
-    ``release_pressure`` held for ``release_dwell_s``.  One step per
-    dwell, both directions, so transitions always appear in ladder
-    order.  Thread-safe; every transition emits a ``brownout`` event
-    and bumps ``brownout_level`` / ``brownout_transitions_total``.
+    ``engage_pressure`` held for ``dwell_s``; releasing requires
+    pressure at or below ``release_pressure`` held for
+    ``release_dwell_s``.  One step per dwell, both directions, so
+    transitions always appear in ladder order.  Thread-safe; every
+    transition emits a ``brownout`` event and bumps
+    ``brownout_level`` / ``brownout_transitions_total``.
     """
 
     def __init__(self, config: BrownoutConfig, *,
@@ -476,13 +459,11 @@ class BrownoutController:
         with self._lock:
             return self._level >= position
 
-    def observe(self, pressure: float, burn: float = 0.0) -> int:
-        """Feed one pressure/burn sample; returns the (new) level."""
+    def observe(self, pressure: float) -> int:
+        """Feed one pressure sample; returns the (new) level."""
         config = self.config
-        hot = pressure >= config.engage_pressure or (
-            config.engage_burn is not None
-            and burn >= config.engage_burn)
-        cool = pressure <= config.release_pressure and not hot
+        hot = pressure >= config.engage_pressure
+        cool = pressure <= config.release_pressure
         now = self._clock()
         step = None
         with self._lock:
@@ -520,7 +501,7 @@ class BrownoutController:
             if self._events is not None:
                 self._events.emit(
                     "brownout", direction=direction, step=mechanism,
-                    level=level, pressure=pressure, burn=burn,
+                    level=level, pressure=pressure,
                     level_name=("full" if level == 0
                                 else self.config.ladder[level - 1]),
                     level_word="warn" if direction == "engage"
@@ -551,21 +532,17 @@ class AdmissionController:
 
     ``acquire`` returns an :class:`AdmissionDecision`; an admitted
     request *must* be paired with exactly one ``release`` carrying its
-    end-to-end latency.  ``burn_fn`` (when given) supplies the current
-    worst SLO burn rate so a quality/latency budget burning hot can
-    engage the brownout ladder even before queue pressure builds.
+    end-to-end latency.
     """
 
     def __init__(self, config: AdmissionConfig | None = None, *,
                  clock: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep,
-                 registry=None, events=None, tracer=None,
-                 burn_fn: Callable[[], float] | None = None):
+                 registry=None, events=None, tracer=None):
         self.config = config or AdmissionConfig()
         self._clock = clock
         self._sleep = sleep
         self._tracer = tracer
-        self._burn_fn = burn_fn
         self._lock = threading.Lock()
         self._inflight = 0
         self._buckets: dict[str, TokenBucket] = {}
@@ -695,7 +672,7 @@ class AdmissionController:
             pressure = self._pressure_locked()
         # A storm shows up as queue growth before completions move the
         # limiter, so pressure feeds the ladder on the way in too.
-        self.brownout.observe(pressure, burn=self._burn())
+        self.brownout.observe(pressure)
         enqueued = self._clock()
         while True:
             with self._lock:
@@ -737,7 +714,7 @@ class AdmissionController:
                 self._m_limit.set(self.limiter.limit)
             self._dispatch_locked()
             pressure = self._pressure_locked()
-        self.brownout.observe(pressure, burn=self._burn())
+        self.brownout.observe(pressure)
 
     # -- internals ---------------------------------------------------
     def _trace_queue_wait(self, enqueued: float, wait: float,
@@ -752,14 +729,6 @@ class AdmissionController:
             "queue_wait", start=enqueued, duration=wait,
             tenant=tenant, criticality=criticality, outcome=outcome)
         return record.trace_id
-
-    def _burn(self) -> float:
-        if self._burn_fn is None:
-            return 0.0
-        try:
-            return float(self._burn_fn())
-        except Exception:
-            return 0.0
 
     def _pressure_locked(self) -> float:
         demand = self._inflight + len(self._queue)

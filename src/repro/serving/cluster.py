@@ -71,6 +71,11 @@ REPLICA_STATE_VALUES = {CircuitState.CLOSED: 0,
                         CircuitState.OPEN: 2}
 REPLICA_DEAD = 3
 
+#: Slice of the request deadline each shard may spend before it is
+#: dropped from the merge (the carve is shared — shards run
+#: concurrently against the same remaining budget).
+_SHARD_BUDGET_FRACTION = 0.95
+
 
 class _ReplicaDown(RuntimeError):
     """A replica refused or failed an attempt; the lane fails over."""
@@ -85,10 +90,6 @@ class ClusterConfig:
     #: Fan shards out on threads; ``False`` degrades to a sequential
     #: loop (deterministic, but no hedging and no tail isolation).
     parallel: bool = True
-    #: Slice of the request deadline each shard may spend before it is
-    #: dropped from the merge (the carve is shared — shards run
-    #: concurrently against the same remaining budget).
-    shard_budget_fraction: float = 0.95
     hedge_enabled: bool = True
     #: The primary's recent latency quantile that arms the hedge ...
     hedge_quantile: float = 0.9
@@ -101,10 +102,8 @@ class ClusterConfig:
     breaker_failure_threshold: int = 2
     breaker_reset_after: float = 30.0  # seconds open before half-open
     breaker_half_open_successes: int = 1
-    #: Seconds between anti-entropy passes; 0 checks after every query
-    #: (the check is O(replicas) flag reads when the cluster is
-    #: healthy).
-    anti_entropy_interval: float = 0.0
+    #: Run an anti-entropy pass after every query (the check is
+    #: O(replicas) flag reads when the cluster is healthy).
     auto_anti_entropy: bool = True
 
 
@@ -126,8 +125,8 @@ class ClusterResult:
 
     @property
     def top1_distance(self) -> float:
-        """Best merged distance, or NaN for empty/batched results."""
-        if self.distances.ndim != 1 or self.distances.size < 1:
+        """Best merged distance, or NaN for an empty result."""
+        if self.distances.size < 1:
             return float("nan")
         return float(self.distances[0])
 
@@ -135,7 +134,7 @@ class ClusterResult:
     def margin(self) -> float:
         """Top-2 minus top-1 distance (retrieval confidence), or NaN
         when fewer than two results merged."""
-        if self.distances.ndim != 1 or self.distances.size < 2:
+        if self.distances.size < 2:
             return float("nan")
         return float(self.distances[1] - self.distances[0])
 
@@ -318,7 +317,6 @@ class IndexCluster:
         self._failovers = 0
         self._rebuilds = 0
         self._partials = 0
-        self._last_anti_entropy = clock()
         self.shards: list[_Shard] = []
         for shard_id, positions in enumerate(
                 partition_positions(self._ids, config.num_shards)):
@@ -419,21 +417,13 @@ class IndexCluster:
         return sum(1 for shard in self.shards
                    for rep in shard.replicas if rep.alive)
 
-    def anti_entropy(self, force: bool = False) -> int:
+    def anti_entropy(self) -> int:
         """Rebuild dead/tripped replicas from healthy siblings.
 
         Returns the number of replicas rebuilt.  A shard with no
         healthy, finite donor is left as-is (that is exactly the
         whole-shard-lost scenario partial results exist for).
         """
-        now = self._clock()
-        with self._stats_lock:
-            due = (force or now - self._last_anti_entropy
-                   >= self._config.anti_entropy_interval)
-            if due:
-                self._last_anti_entropy = now
-        if not due:
-            return 0
         rebuilt = 0
         # Taken so a rebuild cannot interleave with a streamed delta
         # being applied to the same shard's replicas.
@@ -625,7 +615,7 @@ class IndexCluster:
         # would have to be discarded — skip the fan-out entirely.
         expired = deadline is not None and deadline.expired
         shard_budget = (None if deadline is None else
-                        deadline.sub(self._config.shard_budget_fraction))
+                        deadline.sub(_SHARD_BUDGET_FRACTION))
         stats = _QueryStats()
         outcomes: list[tuple[np.ndarray, np.ndarray] | None] = (
             [None] * len(self.shards))
@@ -673,84 +663,6 @@ class IndexCluster:
             self.anti_entropy()
         return result
 
-    def query_batch(self, vectors: np.ndarray, k: int = 5,
-                    class_id: int | None = None, strict: bool = False,
-                    deadline: Deadline | None = None) -> ClusterResult:
-        """Batched fan-out: one matmul per shard for many queries.
-
-        Returns a :class:`ClusterResult` whose ``ids``/``distances``
-        are ``(B, k')`` matrices (rows align with ``vectors``).  The
-        batch path reuses the failover chain but not hedging — bulk
-        scoring is throughput-bound, and its per-shard latency is the
-        matmul, not a straggler replica.  Distances match the
-        single-query fan-out to within one ulp (BLAS batch kernel).
-        """
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise ValueError(
-                f"vectors must be 2-D (batch, dim); got {vectors.shape}")
-        with self._stats_lock:
-            query_id = self._next_query_id
-            self._next_query_id += 1
-            self._queries += 1
-        if self._faults is not None:
-            self._faults.on_cluster_query(query_id, self)
-        self._validate(k, class_id, strict)
-        expired = deadline is not None and deadline.expired
-        shard_budget = (None if deadline is None else
-                        deadline.sub(self._config.shard_budget_fraction))
-        stats = _QueryStats()
-        outcomes: list[tuple[np.ndarray, np.ndarray] | None] = (
-            [None] * len(self.shards))
-
-        tracer = self.telemetry.tracer
-        ctx = tracer.capture()
-
-        def run(slot: int, shard: _Shard) -> None:
-            with tracer.attach(ctx), \
-                    tracer.span("shard_query", cluster=self.name,
-                                shard=shard.shard_id, batch=True):
-                outcomes[slot] = self._query_shard_batch(
-                    shard, vectors, k, class_id, shard_budget, query_id,
-                    stats)
-
-        if expired:
-            pass
-        elif self._config.parallel and len(self.shards) > 1:
-            workers = [threading.Thread(target=run, args=(i, shard),
-                                        daemon=True,
-                                        name=f"shard-{self.name}"
-                                             f"-{shard.shard_id}")
-                       for i, shard in enumerate(self.shards)]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join()
-        else:
-            for i, shard in enumerate(self.shards):
-                run(i, shard)
-
-        answered = [out for out in outcomes if out is not None]
-        merged_ids, merged_distances = [], []
-        for row in range(len(vectors)):
-            parts = [(pos[row], dist[row]) for pos, dist in answered]
-            positions, distances = merge_topk(parts, k)
-            merged_ids.append(self._ids[positions])
-            merged_distances.append(distances)
-        width = min((len(row) for row in merged_ids), default=0)
-        result = ClusterResult(
-            ids=np.array([row[:width] for row in merged_ids],
-                         dtype=np.int64),
-            distances=np.array([row[:width] for row in merged_distances],
-                               dtype=np.float64),
-            shards_total=len(self.shards),
-            shards_answered=len(answered),
-            hedges=stats.hedges, failovers=stats.failovers)
-        self._account(result, stats)
-        if self._config.auto_anti_entropy:
-            self.anti_entropy()
-        return result
-
     def _account(self, result: ClusterResult,
                  stats: _QueryStats) -> None:
         outcome = ("unanswered" if result.shards_answered == 0
@@ -764,7 +676,7 @@ class IndexCluster:
         if result.partial:
             self._m_partials.labels(cluster=self.name).inc()
         # Quality distributions per answered fan-out; Histogram drops
-        # the NaN from empty or batched results.
+        # the NaN from empty results.
         if result.shards_answered > 0:
             self._m_top1.labels(cluster=self.name).observe(
                 result.top1_distance)
@@ -778,29 +690,9 @@ class IndexCluster:
                      class_id: int | None, budget: Deadline | None,
                      query_id: int, stats: _QueryStats,
                      hedge: bool | None = None):
-        run_one = (lambda rep:
-                   self._attempt(shard, rep, query_id, budget,
-                                 lambda: rep.index.query(
-                                     vector, k=k, class_id=class_id)))
-        allow_hedge = (self._config.hedge_enabled if hedge is None
-                       else bool(hedge) and self._config.hedge_enabled)
-        return self._run_lanes(shard, run_one, budget, stats,
-                               hedge=allow_hedge)
-
-    def _query_shard_batch(self, shard: _Shard, vectors, k: int,
-                           class_id: int | None,
-                           budget: Deadline | None, query_id: int,
-                           stats: _QueryStats):
-        run_one = (lambda rep:
-                   self._attempt(shard, rep, query_id, budget,
-                                 lambda: rep.index.query_batch(
-                                     vectors, k=k, class_id=class_id)))
-        return self._run_lanes(shard, run_one, budget, stats,
-                               hedge=False)
-
-    def _run_lanes(self, shard: _Shard, run_one, budget, stats,
-                   hedge: bool):
         """Primary failover chain, optionally raced by a hedge lane."""
+        hedge = (self._config.hedge_enabled if hedge is None
+                 else bool(hedge) and self._config.hedge_enabled)
         ordered = [rep for rep in shard.replicas if rep.available()]
         skipped = len(shard.replicas) - len(ordered)
         if skipped:
@@ -819,7 +711,10 @@ class IndexCluster:
                     if budget is not None and budget.expired:
                         return
                     try:
-                        answer = run_one(rep)
+                        answer = self._attempt(
+                            shard, rep, query_id, budget,
+                            lambda: rep.index.query(
+                                vector, k=k, class_id=class_id))
                     except _ReplicaDown:
                         stats.failover()
                         self._m_failovers.labels(

@@ -85,6 +85,15 @@ _REASON_PHRASES = {200: "OK", 400: "Bad Request", 401: "Unauthorized",
 # (head/body — slowloris territory) from a quiet keep-alive (idle).
 _IDLE, _HEAD, _BODY, _HANDLE = "idle", "head", "body", "handle"
 
+#: Listen backlog of the accept socket.
+_ACCEPT_BACKLOG = 16
+#: Shed at accept when the admission plane already has at least this
+#: many requests queued: the wire should not pile more load onto a
+#: saturated fair queue.
+_SHED_AT_QUEUE_DEPTH = 512
+#: Seconds advertised in ``Retry-After`` on 429/503.
+_RETRY_AFTER_S = 1.0
+
 
 class GatewayError(RuntimeError):
     """Gateway lifecycle misuse (double start, start after drain)."""
@@ -148,14 +157,8 @@ class GatewayConfig:
     idle_timeout_s: float = 5.0       # keep-alive idle limit
     reaper_interval_s: float = 0.25
     max_connections: int = 64         # beyond this, shed at accept
-    accept_backlog: int = 16
-    #: Shed at accept when the admission plane already has at least
-    #: this many requests queued — the wire should not pile more load
-    #: onto a saturated fair queue.  ``None`` disables the check.
-    shed_at_queue_depth: int | None = 512
     # -- deadlines --------------------------------------------------
     max_deadline_ms: float = 10000.0  # clamp for X-Deadline-Ms
-    retry_after_s: float = 1.0        # Retry-After on 429/503
     # -- drain ------------------------------------------------------
     drain_deadline_s: float = 5.0
     # -- cache ------------------------------------------------------
@@ -550,7 +553,7 @@ class Gateway:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.config.host, self.config.port))
-        listener.listen(self.config.accept_backlog)
+        listener.listen(_ACCEPT_BACKLOG)
         self._listener = listener
         self._port = listener.getsockname()[1]
         self._accept_thread = threading.Thread(
@@ -573,9 +576,7 @@ class Gateway:
         self.drain(reason="context-exit")
         return False
 
-    def install_signal_handlers(self,
-                                signals=(signal.SIGTERM,
-                                         signal.SIGINT)) -> None:
+    def install_signal_handlers(self) -> None:
         """SIGTERM/SIGINT → graceful drain (main thread only).
 
         The handler only spawns the drainer thread — signal context
@@ -583,7 +584,7 @@ class Gateway:
         shutdown story (crash-only: whatever it misses, WAL replay
         recovers).
         """
-        for signum in signals:
+        for signum in (signal.SIGTERM, signal.SIGINT):
             self._prev_handlers[signum] = signal.signal(
                 signum, self._on_signal)
 
@@ -679,12 +680,9 @@ class Gateway:
 
     # -- accept / reap loops ----------------------------------------
     def _queue_saturated(self) -> bool:
-        threshold = self.config.shed_at_queue_depth
-        if threshold is None:
-            return False
         try:
             return self.service.admission.snapshot().get(
-                "queued", 0) >= threshold
+                "queued", 0) >= _SHED_AT_QUEUE_DEPTH
         except Exception:
             return False
 
@@ -728,7 +726,7 @@ class Gateway:
         raw = (f"HTTP/1.1 503 Service Unavailable\r\n"
                f"Content-Type: application/json\r\n"
                f"Content-Length: {len(body)}\r\n"
-               f"Retry-After: {self.config.retry_after_s:g}\r\n"
+               f"Retry-After: {_RETRY_AFTER_S:g}\r\n"
                f"Connection: close\r\n\r\n{body}").encode("ascii")
         with contextlib.suppress(OSError):
             client.settimeout(0.5)
@@ -908,7 +906,7 @@ class Gateway:
                         "error": "draining",
                         "detail": "gateway is draining; retry "
                                   "against another instance"}, {
-                        "Retry-After": f"{self.config.retry_after_s:g}"}
+                        "Retry-After": f"{_RETRY_AFTER_S:g}"}
                     route = "draining"
                 else:
                     status, body, extra, route = self._route(request)
@@ -1097,7 +1095,7 @@ class Gateway:
                 "outcome": self._outcome_body(outcome)}
         extra = {}
         if status in (429, 503):
-            extra["Retry-After"] = f"{self.config.retry_after_s:g}"
+            extra["Retry-After"] = f"{_RETRY_AFTER_S:g}"
         return status, body, extra
 
     @staticmethod
@@ -1200,7 +1198,7 @@ class Gateway:
             "replaced": outcome.replaced,
             "error": outcome.error,
         }
-        extra = {"Retry-After": f"{self.config.retry_after_s:g}"} \
+        extra = {"Retry-After": f"{_RETRY_AFTER_S:g}"} \
             if status == 503 else {}
         return status, body, extra
 

@@ -19,7 +19,7 @@ production deployment needs:
   unavailable, requests are answered by the model-free
   :class:`~repro.serving.degraded.DegradedRanker` and marked
   ``degraded=True``;
-* **sharded fan-out** — configured with ``shards > 1``, each
+* **sharded fan-out** — configured with a ``cluster``, each
   generation's indexes are served by an
   :class:`~repro.serving.cluster.IndexCluster` (replicated shards,
   hedged requests, failover, anti-entropy); a fan-out that loses
@@ -69,7 +69,7 @@ from ..obs.drift import DriftMonitor, DriftReference
 from ..obs.memledger import MemoryLedger, ndarray_bytes, ring_bytes
 from ..obs.profiler import SamplingProfiler
 from ..robustness.faults import SimulatedCrash
-from .admission import (SHED_REASONS, AdmissionConfig,
+from .admission import (CRITICALITIES, SHED_REASONS, AdmissionConfig,
                         AdmissionController, AdmissionDecision)
 from .cluster import ClusterConfig, ClusterResult, IndexCluster
 from .deadline import Deadline, DeadlineExceeded
@@ -95,6 +95,16 @@ INGEST_STATUSES = ("ok", "invalid", "error", "unavailable")
 BREAKER_STATE_VALUES = {CircuitState.CLOSED: 0,
                         CircuitState.HALF_OPEN: 1,
                         CircuitState.OPEN: 2}
+
+#: Embed's slice of the remaining request budget for retrying.
+_EMBED_BUDGET_FRACTION = 0.5
+#: Canary queries per hot-swap or compaction validation.
+_CANARY_QUERIES = 3
+#: Ring-buffer length of the request and ingest outcome logs.
+_OUTCOME_LOG_SIZE = 512
+#: Per-request result depth while the brownout ladder's ``shrink_k``
+#: rung is engaged.
+_BROWNOUT_K_CAP = 3
 
 
 class _StageUnavailable(RuntimeError):
@@ -146,7 +156,6 @@ class ServiceConfig:
     """Resilience knobs; the defaults suit interactive serving."""
 
     deadline: float = 1.0              # seconds per request
-    embed_budget_fraction: float = 0.5  # embed's slice of the budget
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     breaker_failure_threshold: int = 3
     breaker_reset_after: float = 5.0   # seconds open before half-open
@@ -156,18 +165,10 @@ class ServiceConfig:
     #: concurrency, brownout ladder).  ``None`` keeps the legacy
     #: static ``max_inflight`` counter with immediate shedding.
     admission: AdmissionConfig | None = None
-    canary_queries: int = 3            # per hot-swap validation
-    outcome_log_size: int = 512        # ring buffer of RequestOutcomes
     degraded_enabled: bool = True
-    #: ``shards > 1`` serves each generation's indexes from an
-    #: :class:`~repro.serving.cluster.IndexCluster` with this many
-    #: shards and ``replicas`` copies of each; 1 keeps the monolithic
-    #: single-index path.
-    shards: int = 1
-    replicas: int = 2
-    #: Full cluster tuning; when given it wins over the ``shards`` /
-    #: ``replicas`` shorthand (and enables the cluster path whenever
-    #: its ``num_shards`` calls for one).
+    #: When given, each generation's indexes are served by an
+    #: :class:`~repro.serving.cluster.IndexCluster` with this topology;
+    #: ``None`` keeps the monolithic single-index path.
     cluster: ClusterConfig | None = None
 
 
@@ -321,7 +322,7 @@ class ResilientSearchService:
     cluster_faults:
         Optional :class:`~repro.robustness.faults.ClusterFault` hook
         object threaded into every generation's clusters (only
-        meaningful with ``shards > 1``).
+        meaningful with a ``cluster`` config).
     telemetry:
         Optional shared :class:`~repro.obs.Telemetry`.  A private
         in-memory instance (on the service clock) is created when
@@ -434,9 +435,9 @@ class ResilientSearchService:
             self._m_breaker_state.labels(dependency=dependency).set(0)
         self._m_generation.set(0)
         self.outcomes: deque[RequestOutcome] = deque(
-            maxlen=self._config.outcome_log_size)
+            maxlen=_OUTCOME_LOG_SIZE)
         self.ingest_outcomes: deque[IngestOutcome] = deque(
-            maxlen=self._config.outcome_log_size)
+            maxlen=_OUTCOME_LOG_SIZE)
         self.swaps: list[SwapReport] = []
         #: Per-component memory ledger + sampling profiler.  The
         #: ledger is always live (reporters are just callbacks); the
@@ -646,22 +647,12 @@ class ResilientSearchService:
     # ------------------------------------------------------------------
     # Generations
     # ------------------------------------------------------------------
-    def _cluster_config(self) -> ClusterConfig | None:
-        """The effective cluster topology, or ``None`` for the
-        monolithic single-index path."""
-        if self._config.cluster is not None:
-            return self._config.cluster
-        if self._config.shards > 1:
-            return ClusterConfig(num_shards=self._config.shards,
-                                 replication=self._config.replicas)
-        return None
-
     def _make_generation(self, generation: int,
                          engine: RecipeSearchEngine) -> EngineGeneration:
         """Assemble one serving generation: engine + fallback, plus
         fresh clusters over both indexes when sharding is on."""
         fallback = DegradedRanker(engine.dataset, engine.corpus)
-        cluster_config = self._cluster_config()
+        cluster_config = self._config.cluster
         if cluster_config is None:
             return EngineGeneration(generation, engine, fallback)
         return EngineGeneration(
@@ -679,7 +670,6 @@ class ResilientSearchService:
     # Hot-swap
     # ------------------------------------------------------------------
     def swap_corpus(self, corpus, dataset=None,
-                    canary_queries: int | None = None,
                     drift_reference: DriftReference | None = None
                     ) -> SwapReport:
         """Atomically replace the serving corpus+indexes.
@@ -711,8 +701,6 @@ class ResilientSearchService:
             return self._record_swap(report, started)
         if dataset is None:
             dataset = old.engine.dataset
-        canaries = (self._config.canary_queries
-                    if canary_queries is None else canary_queries)
         try:
             # A poisoned corpus must surface as a canary veto, not as
             # FP warnings escaping from the side build.
@@ -729,7 +717,7 @@ class ResilientSearchService:
                           f"{type(exc).__name__}: {exc}",),
                 rolled_back=True)
             return self._record_swap(report, started)
-        run, failures = run_canaries(candidate, canaries)
+        run, failures = run_canaries(candidate, _CANARY_QUERIES)
         if failures:
             report = SwapReport(ok=False, generation=old.generation,
                                 canaries_run=run,
@@ -868,6 +856,13 @@ class ResilientSearchService:
                 request_id = self._next_request_id
                 self._next_request_id += 1
             span.set_attribute("request_id", request_id)
+            if criticality and criticality not in CRITICALITIES:
+                return self._finish(
+                    request_id, kind, "invalid", generation, started,
+                    stage="admission", span=span, tenant=tenant,
+                    error=f"unknown criticality {criticality!r}; "
+                          f"expected one of {CRITICALITIES}",
+                    deadline_source=deadline_source)
             # The admit span covers any fair-queue wait, so queue time
             # shows up as admit-stage latency, not as mystery slack.
             with self._stage_span("admit", budget):
@@ -894,7 +889,7 @@ class ResilientSearchService:
                             hedge = False
                         if brownout.active("shrink_k"):
                             k_effective = max(
-                                1, min(k, brownout.config.k_cap))
+                                1, min(k, _BROWNOUT_K_CAP))
                         force_degraded = (
                             brownout.active("degraded")
                             and self._config.degraded_enabled)
@@ -979,7 +974,7 @@ class ResilientSearchService:
                      trace: _RequestTrace) -> np.ndarray:
         """Embed with retries/backoff behind the embed breaker.
 
-        The stage only consumes ``embed_budget_fraction`` of the
+        The stage only consumes ``_EMBED_BUDGET_FRACTION`` of the
         remaining request budget for *retrying*: once the slice drains
         without a usable vector, it gives up so degraded mode can
         still answer inside the request deadline.  A slow-but-healthy
@@ -987,7 +982,7 @@ class ResilientSearchService:
         """
         breaker = self.embed_breaker
         policy = self._config.retry
-        slice_budget = budget.sub(self._config.embed_budget_fraction)
+        slice_budget = budget.sub(_EMBED_BUDGET_FRACTION)
         last = "no attempts made"
         for attempt in range(policy.max_attempts):
             budget.check("embed")
@@ -1167,7 +1162,8 @@ class ResilientSearchService:
                     ack = self.ingestor.add(
                         {"image": image_vec, "recipe": recipe_vec},
                         class_id=int(class_id), payload=payload)
-                    self._apply_ack_to_clusters(generation, ack)
+                    self._apply_replayed_to_clusters(
+                        generation, ack.op, ack.key, ack.replaced_key)
             except SimulatedCrash:
                 raise  # chaos-suite process death, not an outcome
             except WalWriteError as exc:
@@ -1201,7 +1197,8 @@ class ResilientSearchService:
             try:
                 with self._ingest_lock:
                     ack = self.ingestor.delete(int(item_id))
-                    self._apply_ack_to_clusters(generation, ack)
+                    self._apply_replayed_to_clusters(
+                        generation, ack.op, ack.key, ack.replaced_key)
             except SimulatedCrash:
                 raise
             except WalWriteError as exc:
@@ -1215,8 +1212,7 @@ class ResilientSearchService:
             return self._finish_ingest(
                 "delete", "ok", ack, generation, started, span=span)
 
-    def compact_ingest(self,
-                       canary_queries: int | None = None) -> SwapReport:
+    def compact_ingest(self) -> SwapReport:
         """Fold the delta overlay into a new frozen base, canary-first.
 
         The fold is built aside and canary-validated exactly like
@@ -1237,8 +1233,6 @@ class ResilientSearchService:
                           "ingest_log configured)",),
                 rolled_back=True)
             return self._record_swap(report, started)
-        canaries = (self._config.canary_queries
-                    if canary_queries is None else canary_queries)
         tracer = self.telemetry.tracer
         # The compaction thread has no active span of its own; adopt
         # the triggering ingest's context so the fold shows up in that
@@ -1260,7 +1254,8 @@ class ResilientSearchService:
                         self.ingestor)
                     candidate = self._make_generation(
                         old.generation + 1, engine)
-                run, failures = run_canaries(candidate, canaries)
+                run, failures = run_canaries(candidate,
+                                             _CANARY_QUERIES)
                 if failures:
                     self.ingestor.abort_compaction(ticket)
                     report = SwapReport(
@@ -1296,15 +1291,10 @@ class ResilientSearchService:
                     rolled_back=True)
                 return self._record_swap(report, started)
 
-    def _apply_ack_to_clusters(self, generation: EngineGeneration,
-                               ack: IngestAck) -> None:
-        """Mirror one acknowledged delta into the sharded clusters."""
-        self._apply_replayed_to_clusters(generation, ack.op, ack.key,
-                                         ack.replaced_key)
-
     def _apply_replayed_to_clusters(self, generation: EngineGeneration,
                                     op: IngestOp, key: int,
                                     replaced_key: int | None) -> None:
+        """Mirror one acknowledged delta into the sharded clusters."""
         if generation.image_cluster is None:
             return
         clusters = {"image": generation.image_cluster,

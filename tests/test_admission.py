@@ -285,15 +285,6 @@ class TestBrownoutController:
         controller.observe(5.0)  # hot again: dwell re-arms from zero
         assert controller.level == 0
 
-    def test_burn_rate_engages_without_pressure(self):
-        clock = FakeClock()
-        controller = BrownoutController(
-            self.config(engage_burn=14.4), clock=clock)
-        controller.observe(0.1, burn=20.0)
-        clock.sleep(0.3)
-        controller.observe(0.1, burn=20.0)
-        assert controller.level == 1
-
     def test_active_reflects_prefix_of_ladder(self):
         clock = FakeClock()
         controller = BrownoutController(self.config(), clock=clock)
@@ -527,3 +518,16 @@ class TestServiceAdmission:
             known_ingredients(engine), k=3, tenant="probe",
             criticality="background")
         assert response.ok
+
+    @pytest.mark.parametrize("adaptive", [True, False])
+    def test_unknown_criticality_is_invalid_in_both_modes(self, engine,
+                                                          adaptive):
+        overrides = ({"admission": AdmissionConfig(initial_limit=4)}
+                     if adaptive else {})
+        service, _ = make_service(engine, **overrides)
+        response = service.search_by_ingredients(
+            known_ingredients(engine), k=3, criticality="bogus")
+        assert response.outcome.status == "invalid"
+        assert "bogus" in response.outcome.error
+        assert service.admission.inflight == 0
+        assert service.stats()["statuses"] == {"invalid": 1}

@@ -83,18 +83,6 @@ class TestClusterQueries:
         assert result.shards_answered == 0
         assert result.ids.shape == (0,)
 
-    def test_query_batch_matches_per_row(self):
-        index, rng = small_index()
-        cluster = IndexCluster(index, ClusterConfig(num_shards=4))
-        vectors = rng.normal(size=(6, 12))
-        batch = cluster.query_batch(vectors, k=5)
-        assert batch.ids.shape == (6, 5)
-        for row, vector in enumerate(vectors):
-            single = cluster.query(vector, k=5)
-            assert np.array_equal(batch.ids[row], single.ids)
-            np.testing.assert_allclose(batch.distances[row],
-                                       single.distances, atol=1e-12)
-
 
 class TestFailoverAndRepair:
     def test_failover_keeps_bits_identical(self):
@@ -132,7 +120,7 @@ class TestFailoverAndRepair:
         for shard in range(3):
             cluster.crash_replica(shard, 0)
         assert cluster.live_replica_count() == 3
-        assert cluster.anti_entropy(force=True) == 3
+        assert cluster.anti_entropy() == 3
         assert cluster.live_replica_count() == 6
         # Rebuilt replicas serve the same bits as the survivors.
         rebuilt = cluster.replica(0, 0).index
@@ -188,7 +176,7 @@ class TestFailoverAndRepair:
         assert child.value == 0
         cluster.crash_replica(0, 0)
         assert child.value == REPLICA_DEAD
-        cluster.anti_entropy(force=True)
+        cluster.anti_entropy()
         assert child.value == 0
 
 
@@ -201,7 +189,7 @@ class TestClusteredService:
             clock=clock, sleep=clock.sleep)
         clustered = ResilientSearchService(
             make_engine(dataset, featurizer),
-            ServiceConfig(shards=3, replicas=2),
+            ServiceConfig(cluster=ClusterConfig(num_shards=3, replication=2)),
             clock=clock, sleep=clock.sleep)
         ingredients = known_ingredients(mono._active.engine, 2)
         a = mono.search_by_ingredients(ingredients, k=5)
@@ -220,7 +208,7 @@ class TestClusteredService:
         clock = FakeClock()
         service = ResilientSearchService(
             make_engine(dataset, featurizer),
-            ServiceConfig(shards=3, replicas=2),
+            ServiceConfig(cluster=ClusterConfig(num_shards=3, replication=2)),
             clock=clock, sleep=clock.sleep)
         cluster = service._active.image_cluster
         cluster.crash_replica(0, 0)
@@ -239,7 +227,7 @@ class TestClusteredService:
         clock = FakeClock()
         service = ResilientSearchService(
             make_engine(dataset, featurizer),
-            ServiceConfig(shards=2, replicas=3),
+            ServiceConfig(cluster=ClusterConfig(num_shards=2, replication=3)),
             clock=clock, sleep=clock.sleep)
         stats = service.stats()
         assert stats["cluster"]["image"]["shards"] == 2
@@ -256,7 +244,7 @@ class TestClusteredService:
         clock = FakeClock()
         service = ResilientSearchService(
             make_engine(dataset, featurizer),
-            ServiceConfig(shards=3, replicas=2),
+            ServiceConfig(cluster=ClusterConfig(num_shards=3, replication=2)),
             clock=clock, sleep=clock.sleep)
         old_cluster = service._active.image_cluster
         old_cluster.crash_replica(0, 0)
@@ -278,7 +266,7 @@ class TestClusteredService:
         telemetry = Telemetry(jsonl_path=trace, clock=clock)
         service = ResilientSearchService(
             make_engine(dataset, featurizer),
-            ServiceConfig(shards=3, replicas=2),
+            ServiceConfig(cluster=ClusterConfig(num_shards=3, replication=2)),
             clock=clock, sleep=clock.sleep, telemetry=telemetry)
         service.search_by_ingredients(
             known_ingredients(service._active.engine, 2), k=5)

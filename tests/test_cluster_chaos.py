@@ -37,13 +37,12 @@ def world():
     return make_world()
 
 
-def make_clustered_service(world, cluster_faults=None, shards=3,
-                           replicas=2):
+def make_clustered_service(world, cluster_faults=None):
     dataset, featurizer = world
     clock = FakeClock()
     service = ResilientSearchService(
         make_engine(dataset, featurizer),
-        ServiceConfig(shards=shards, replicas=replicas),
+        ServiceConfig(cluster=ClusterConfig(num_shards=3, replication=2)),
         clock=clock, sleep=clock.sleep, cluster_faults=cluster_faults)
     return service, clock
 
@@ -132,8 +131,7 @@ class TestShardLoss:
                           delay=5.0, sleep=clock.sleep)
         service = ResilientSearchService(
             make_engine(dataset, featurizer),
-            ServiceConfig(shards=3, replicas=2,
-                          cluster=ClusterConfig(num_shards=3,
+            ServiceConfig(cluster=ClusterConfig(num_shards=3,
                                                 replication=2,
                                                 parallel=False)),
             clock=clock, sleep=clock.sleep, cluster_faults=fault)

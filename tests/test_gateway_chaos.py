@@ -2,11 +2,10 @@
 
 Every test here talks to a live :class:`~repro.serving.gateway.Gateway`
 over actual TCP on loopback — the point is to attack the wire, not the
-library.  The misbehaving clients come from
-:mod:`repro.serving.netfaults`; the acceptance bar is the drain
-contract (every accepted request completes or gets a clean 503, never
-a reset), the slowloris reaper, and swap-aware cache behaviour under
-real degradation.
+library.  The misbehaving clients come from ``tests/_netfaults.py``;
+the acceptance bar is the drain contract (every accepted request
+completes or gets a clean 503, never a reset), the slowloris reaper,
+and swap-aware cache behaviour under real degradation.
 """
 
 import contextlib
@@ -24,10 +23,9 @@ from repro.serving import (AdmissionConfig, CacheConfig, Gateway,
                            GatewayConfig, HttpRequester, LoadGenerator,
                            ResilientSearchService, ServiceConfig,
                            TenantLoad, TenantPolicy)
-from repro.serving.netfaults import (ConnectionFlood,
-                                     DisconnectMidResponse, SlowClient,
-                                     TruncatedBody, read_response)
 
+from ._netfaults import (ConnectionFlood, DisconnectMidResponse,
+                         SlowClient, TruncatedBody, read_response)
 from ._serving_util import FakeClock, known_ingredients, make_engine, \
     make_world
 

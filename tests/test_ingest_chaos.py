@@ -24,7 +24,8 @@ import pytest
 
 from repro.robustness import (CompactionRacingQueries, CrashMidCompaction,
                               DiskFullOnAppend, SimulatedCrash, TornWrite)
-from repro.serving import ResilientSearchService, ServiceConfig
+from repro.serving import (ClusterConfig, ResilientSearchService,
+                           ServiceConfig)
 from repro.serving.ingest import IngestConfig
 
 from ._serving_util import FakeClock, make_engine, make_world
@@ -37,13 +38,13 @@ def world():
     return make_world(num_pairs=80, num_classes=4, seed=7)
 
 
-def make_service(world, log_dir, *, faults=None, shards=1,
+def make_service(world, log_dir, *, faults=None, cluster=None,
                  compact_at=10_000, fsync_every=1):
     dataset, featurizer = world
     clock = FakeClock()
     return ResilientSearchService(
         make_engine(dataset, featurizer),
-        ServiceConfig(shards=shards, replicas=2),
+        ServiceConfig(cluster=cluster),
         clock=clock, sleep=clock.sleep,
         ingest_log=log_dir,
         ingest_config=IngestConfig(fsync_every=fsync_every,
@@ -312,8 +313,9 @@ class TestRacingQueries:
     def test_cluster_mode_matches_monolithic_twin(self, world,
                                                   tmp_path):
         mono = make_service(world, tmp_path / "mono")
-        clustered = make_service(world, tmp_path / "clustered",
-                                 shards=3)
+        clustered = make_service(
+            world, tmp_path / "clustered",
+            cluster=ClusterConfig(num_shards=3, replication=2))
         assert clustered._active.image_cluster is not None
         probes = _mutate(mono, world)
         _mutate(clustered, world)

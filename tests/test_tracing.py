@@ -440,8 +440,7 @@ def make_service(world, *, faults=None, clock=None, **overrides):
 class TestServiceWholePath:
     def test_sharded_request_is_one_tree_with_queue_wait(self, world):
         service, __ = make_service(
-            world, shards=2, replicas=1,
-            cluster=ClusterConfig(num_shards=2, replication=1))
+            world, cluster=ClusterConfig(num_shards=2, replication=1))
         ingredients = known_ingredients(service._active.engine, 2)
         response = service.search_by_ingredients(ingredients, k=3)
         assert response.ok
@@ -468,8 +467,7 @@ class TestServiceWholePath:
 
     def test_stage_ms_still_covers_fanout_request(self, world):
         service, __ = make_service(
-            world, shards=2, replicas=1,
-            cluster=ClusterConfig(num_shards=2, replication=1))
+            world, cluster=ClusterConfig(num_shards=2, replication=1))
         ingredients = known_ingredients(service._active.engine, 2)
         outcome = service.search_by_ingredients(ingredients, k=3).outcome
         assert {"admit", "embed", "index",
@@ -480,7 +478,7 @@ class TestServiceWholePath:
         fault = SlowShard(queries=range(0, 1_000_000), shard_id=0,
                           delay=0.5, sleep=clock.sleep)
         service, __ = make_service(
-            world, clock=clock, faults=fault, shards=2, replicas=1,
+            world, clock=clock, faults=fault,
             cluster=ClusterConfig(num_shards=2, replication=1,
                                   parallel=False))
         ingredients = known_ingredients(service._active.engine, 2)
