@@ -26,8 +26,9 @@ import numpy as np
 
 from repro.core import RecipeSearchEngine
 from repro.data import DatasetConfig, RecipeFeaturizer, generate_dataset
-from repro.serving import (CacheConfig, Gateway, GatewayConfig,
-                           ResilientSearchService, ServiceConfig)
+from repro.serving import (AdmissionConfig, CacheConfig, Gateway,
+                           GatewayConfig, ResilientSearchService,
+                           ServiceConfig)
 
 HOST = "127.0.0.1"
 REQUESTS = 150
@@ -98,7 +99,8 @@ def _query_ingredients(engine) -> list:
 def _start_gateway(cache_enabled: bool):
     engine = _build_engine()
     service = ResilientSearchService(
-        engine, ServiceConfig(deadline=2.0, max_inflight=64))
+        engine, ServiceConfig(deadline=2.0,
+                              admission=AdmissionConfig.static(64)))
     gateway = Gateway(service, GatewayConfig(
         max_connections=128,
         cache=CacheConfig(enabled=cache_enabled, ttl_s=300.0)))

@@ -81,7 +81,7 @@ def _build_engine() -> RecipeSearchEngine:
 
 
 def _make_service(engine, adaptive: bool) -> ResilientSearchService:
-    admission = None
+    admission = AdmissionConfig.static(8)
     if adaptive:
         admission = AdmissionConfig(
             initial_limit=8, min_limit=2, max_limit=16,
@@ -94,8 +94,7 @@ def _make_service(engine, adaptive: bool) -> ResilientSearchService:
         delay_per_inflight_s=0.02)
     service = ResilientSearchService(
         engine,
-        ServiceConfig(deadline=DEADLINE_S, max_inflight=8,
-                      admission=admission,
+        ServiceConfig(deadline=DEADLINE_S, admission=admission,
                       retry=RetryPolicy(max_attempts=2,
                                         base_delay=0.001, jitter=0.0)),
         faults=fault)

@@ -36,9 +36,9 @@ import numpy as np
 
 from repro.core.engine import RecipeSearchEngine
 from repro.data import DatasetConfig, RecipeFeaturizer, generate_dataset
-from repro.serving import (CacheConfig, Gateway, GatewayConfig,
-                           ResilientSearchService, ServiceConfig,
-                           recipe_to_payload)
+from repro.serving import (AdmissionConfig, CacheConfig, Gateway,
+                           GatewayConfig, ResilientSearchService,
+                           ServiceConfig, recipe_to_payload)
 
 HOST = "127.0.0.1"
 API_KEYS = {"sk-mobile": "mobile", "sk-batch": "batch"}
@@ -97,7 +97,8 @@ def build_service(dataset, featurizer, log_dir) -> ResilientSearchService:
     engine = RecipeSearchEngine(_StubModel(), featurizer, dataset,
                                 corpus)
     return ResilientSearchService(
-        engine, ServiceConfig(deadline=2.0, max_inflight=32),
+        engine, ServiceConfig(deadline=2.0,
+                              admission=AdmissionConfig.static(32)),
         ingest_log=log_dir)
 
 

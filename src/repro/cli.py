@@ -32,9 +32,14 @@ API keys, ``X-Deadline-Ms`` propagation, slowloris armor, graceful
 SIGTERM drain, swap-aware result cache); ``loadgen`` drives the
 service with open-loop multi-tenant traffic (``--storm 10`` for a
 10× spike, ``--flood tenant:8`` for one abusive tenant, ``--static``
-to compare against the legacy fixed cap, ``--url`` to hit a live
-gateway over real sockets) and reports per-tenant goodput, shed
-reasons, and brownout-ladder transitions.
+to compare against a fixed cap, ``--url`` to hit a live gateway over
+real sockets) and reports per-tenant goodput, shed reasons, and
+brownout-ladder transitions.
+
+Admission sheds past a fixed cap of ``--max-inflight`` requests;
+``--adaptive`` (or any ``--tenants``) starts AIMD there and adds fair
+queuing, token buckets and the brownout ladder.  ``loadgen`` is
+adaptive unless ``--static``.
 
 ``train`` and ``serve`` accept ``--telemetry-jsonl PATH`` to stream
 spans and events to a JSONL trace with a final metrics snapshot;
@@ -118,11 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--deadline", type=float, default=1.0,
                        help="per-request time budget in seconds")
     serve.add_argument("--max-inflight", type=int, default=8,
-                       help="admission bound; excess requests are shed")
+                       help="admission cap, excess requests are shed "
+                            "(the starting AIMD limit under --adaptive)")
     serve.add_argument("--adaptive", action="store_true",
                        help="adaptive admission: AIMD concurrency "
                             "limit, fair queuing, brownout ladder "
-                            "(replaces the static --max-inflight cap)")
+                            "(instead of the fixed --max-inflight cap)")
     serve.add_argument("--tenants", action="append", default=None,
                        metavar="NAME[:WEIGHT[:RATE[:BURST[:CRIT]]]]",
                        help="tenant admission policy (repeatable); "
@@ -179,12 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="ceiling for the X-Deadline-Ms header")
     gateway.add_argument("--adaptive", action="store_true",
                          help="adaptive admission (AIMD, fair "
-                              "queuing, brownout ladder)")
+                              "queuing, brownout ladder) instead of "
+                              "the fixed --max-inflight cap")
     gateway.add_argument("--tenants", action="append", default=None,
                          metavar="NAME[:WEIGHT[:RATE[:BURST[:CRIT]]]]",
                          help="tenant admission policy (repeatable); "
                               "implies --adaptive")
-    gateway.add_argument("--max-inflight", type=int, default=8)
+    gateway.add_argument("--max-inflight", type=int, default=8,
+                         help="admission cap (AIMD start if adaptive)")
     gateway.add_argument("--max-queue", type=int, default=64)
     gateway.add_argument("--max-connections", type=int, default=64,
                          help="concurrent connection cap; excess is "
@@ -253,9 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="TENANT:FACTOR",
                          help="multiply one tenant's offered rate")
     loadgen.add_argument("--static", action="store_true",
-                         help="use the legacy static --max-inflight "
-                              "cap instead of adaptive admission")
-    loadgen.add_argument("--max-inflight", type=int, default=8)
+                         help="shed past a fixed --max-inflight cap "
+                              "instead of adaptive admission")
+    loadgen.add_argument("--max-inflight", type=int, default=8,
+                         help="admission cap (AIMD start if adaptive)")
     loadgen.add_argument("--max-queue", type=int, default=64)
     loadgen.add_argument("--deadline", type=float, default=0.5,
                          help="per-request time budget in seconds")
@@ -554,8 +563,8 @@ def _cluster_config(shards: int, replicas: int = 2):
 
 
 def _admission_config(args):
-    """Build an :class:`AdmissionConfig` from serve/loadgen flags, or
-    ``None`` when the legacy static path was asked for."""
+    """Build an :class:`AdmissionConfig` from serve/gateway/loadgen
+    flags: adaptive when asked for, else the fixed-cap preset."""
     from .serving import AdmissionConfig
 
     tenants = tuple(_parse_tenant_policy(spec)
@@ -563,7 +572,7 @@ def _admission_config(args):
     adaptive = bool(getattr(args, "adaptive", False) or tenants
                     or not getattr(args, "static", True))
     if not adaptive:
-        return None
+        return AdmissionConfig.static(args.max_inflight)
     return AdmissionConfig(tenants=tenants,
                            max_queue_depth=args.max_queue,
                            initial_limit=args.max_inflight)
@@ -582,8 +591,7 @@ def _command_serve(args) -> int:
     reference = (DriftReference.load(args.drift_reference)
                  if args.drift_reference else None)
     service = ResilientSearchService(engine, ServiceConfig(
-        deadline=args.deadline, max_inflight=args.max_inflight,
-        admission=_admission_config(args),
+        deadline=args.deadline, admission=_admission_config(args),
         degraded_enabled=not args.no_degraded,
         cluster=_cluster_config(args.shards, args.replicas)),
         telemetry=telemetry, drift_reference=reference,
@@ -688,8 +696,8 @@ def _command_loadgen(args) -> int:
         engine = RecipeSearchEngine(model, featurizer, dataset, test)
         telemetry = Telemetry(jsonl_path=args.telemetry_jsonl)
         service = ResilientSearchService(engine, ServiceConfig(
-            deadline=args.deadline, max_inflight=args.max_inflight,
-            admission=_admission_config(args)), telemetry=telemetry)
+            deadline=args.deadline, admission=_admission_config(args)),
+            telemetry=telemetry)
 
     loads = []
     for spec in (args.loads or ["default:20"]):
@@ -756,7 +764,7 @@ def _command_loadgen(args) -> int:
         print("admission: " + "  ".join(
             f"{key}={value}" for key, value in snapshot.items()))
         brownout = service.admission.brownout
-        if brownout is not None and brownout.transitions:
+        if brownout.transitions:
             print("brownout transitions: " + " -> ".join(
                 f"{direction}:{step}"
                 for direction, step in brownout.transitions))
@@ -782,8 +790,7 @@ def _command_gateway(args) -> int:
     engine = RecipeSearchEngine(model, featurizer, dataset, test)
     telemetry = Telemetry(jsonl_path=args.telemetry_jsonl)
     service = ResilientSearchService(engine, ServiceConfig(
-        deadline=args.deadline, max_inflight=args.max_inflight,
-        admission=_admission_config(args)),
+        deadline=args.deadline, admission=_admission_config(args)),
         telemetry=telemetry, ingest_log=args.ingest_log)
     gateway = Gateway(service, GatewayConfig(
         host=args.host, port=args.port, api_keys=api_keys,

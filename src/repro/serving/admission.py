@@ -1,12 +1,11 @@
 """Overload control: adaptive admission, fair queuing, brownout.
 
-The static ``max_inflight`` counter survives a traffic spike by
-shedding blindly: it cannot tell a paying user from a background
-probe, lets one noisy tenant crowd everyone else out, wastes embed and
-index work on requests whose deadline already died while they waited,
-and keeps the same concurrency whether the backend is healthy or
-drowning.  This module is the missing control plane, composed from
-four pieces:
+A fixed in-flight cap survives a traffic spike by shedding blindly:
+it cannot tell a paying user from a background probe, lets one noisy
+tenant crowd everyone else out, wastes embed and index work on
+requests whose deadline already died while they waited, and keeps the
+same concurrency whether the backend is healthy or drowning.  This
+module is the control plane, composed from four pieces:
 
 * :class:`TokenBucket` — per-tenant rate limiting (sustained rate plus
   burst) so a flooding tenant is clipped at the front door before it
@@ -132,10 +131,10 @@ class BrownoutConfig:
 
 @dataclass(frozen=True)
 class AdmissionConfig:
-    """Everything the adaptive admission path needs to know."""
+    """Admission tuning; the defaults adapt, :meth:`static` pins a cap."""
 
     tenants: tuple[TenantPolicy, ...] = ()
-    max_queue_depth: int = 64      # per tenant
+    max_queue_depth: int = 64      # per tenant; 0 sheds instead of queueing
     poll_interval_s: float = 0.002  # slot-wait poll period
     # -- adaptive concurrency (AIMD) --------------------------------
     initial_limit: int = 8
@@ -154,10 +153,22 @@ class AdmissionConfig:
         if not 1 <= self.min_limit <= self.initial_limit <= self.max_limit:
             raise ValueError("need 1 <= min_limit <= initial_limit "
                              "<= max_limit")
-        if self.max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1")
+        if self.max_queue_depth < 0:
+            raise ValueError("max_queue_depth must be >= 0")
         if not 0.0 < self.decrease_factor < 1.0:
             raise ValueError("decrease_factor must be in (0, 1)")
+
+    @classmethod
+    def static(cls, limit: int) -> "AdmissionConfig":
+        """A fixed in-flight cap: at most ``limit`` requests admitted,
+        the rest shed at once with reason ``inflight_limit``.
+
+        AIMD cannot move a limit pinned at floor = ceiling, and the
+        default brownout ladder never engages: with no queue, pressure
+        is inflight / limit <= 1, below its ``engage_pressure`` of 1.5.
+        """
+        return cls(max_queue_depth=0, initial_limit=limit,
+                   min_limit=limit, max_limit=limit)
 
     def policy(self, tenant: str) -> TenantPolicy:
         for policy in self.tenants:
@@ -244,8 +255,8 @@ class FairQueue:
                  max_depth: int = 64,
                  drop_if: Callable[[object], str | None] | None = None,
                  on_drop: Callable[[str, object, str], None] | None = None):
-        if max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        if max_depth < 0:
+            raise ValueError("max_depth must be >= 0")
         self._weights = dict(weights or {})
         self._max_depth = int(max_depth)
         self._drop_if = drop_if
@@ -621,8 +632,10 @@ class AdmissionController:
             inflight = self._inflight
             limit = self.limiter.limit
             p95 = self.limiter.last_p95
+        static = (self.config.max_queue_depth == 0
+                  and self.config.min_limit == self.config.max_limit)
         return {
-            "mode": "adaptive",
+            "mode": "static" if static else "adaptive",
             "limit": limit,
             "inflight": inflight,
             "queued": queued,
@@ -660,15 +673,26 @@ class AdmissionController:
                            f"(burst {policy.burst:g})")
         ticket = _Ticket(tenant, tier, deadline)
         with self._lock:
-            if self._queue.weight(tenant) != policy.weight:
-                self._queue.set_weight(tenant, policy.weight)
-            if not self._queue.push(tenant, ticket, tier=tier):
+            limit = self.limiter.limit
+            if not self._queue and self._inflight < limit:
+                # Nobody waiting and a slot free: grant without the
+                # push/pop round trip (the same outcome as dispatch).
+                ticket.state = _GRANTED
+                self._inflight += 1
+                self._update_gauges_locked()
+            elif self.config.max_queue_depth == 0:
+                return AdmissionDecision(
+                    False, tenant, criticality, reason="inflight_limit",
+                    detail=f"load shed: {limit} requests already in "
+                           f"flight")
+            elif self._queue.push(tenant, ticket, tier=tier):
+                self._dispatch_locked()
+            else:
                 return AdmissionDecision(
                     False, tenant, criticality, reason="queue_full",
                     detail=f"queue full: tenant {tenant!r} already "
                            f"has {self.config.max_queue_depth} "
                            f"requests waiting")
-            self._dispatch_locked()
             pressure = self._pressure_locked()
         # A storm shows up as queue growth before completions move the
         # limiter, so pressure feeds the ladder on the way in too.
@@ -682,7 +706,6 @@ class AdmissionController:
                     # an expired request never reaches the embed stage.
                     self._inflight -= 1
                     self._dispatch_locked()
-                    self._update_gauges_locked()
                     state = _EXPIRED
                 elif state == _WAITING and deadline.expired:
                     ticket.state = _ABANDONED

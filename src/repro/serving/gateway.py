@@ -619,6 +619,14 @@ class Gateway:
         if not owner:
             self._drained.wait()
             return False
+        try:
+            self._drain()
+        finally:
+            self._drained.set()  # other callers block on this event
+        return True
+
+    def _drain(self) -> None:
+        reason = self._drain_reason
         started = self._clock()
         self._m_draining.set(1)
         self.telemetry.events.emit(
@@ -633,6 +641,10 @@ class Gateway:
                 self._listener.shutdown(socket.SHUT_RDWR)
             with contextlib.suppress(OSError):
                 self._listener.close()
+        # The accept loop exits on the closed listener; once it has,
+        # every accepted connection's worker is in _workers to join.
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=1.0)
         # Idle *keep-alive* connections hold no accepted request; close
         # them now so they cannot start new work mid-drain.  A freshly
         # accepted connection (no request served yet) is left to its
@@ -644,18 +656,16 @@ class Gateway:
             if idle:
                 conn.kill()
         deadline = time.monotonic() + self.config.drain_deadline_s
-        for worker in list(self._workers):
+        for worker in self._live_workers():
             worker.join(timeout=max(0.0, deadline - time.monotonic()))
         # Past the deadline: cut whatever is left (crash-only).
         cut = 0
         for conn in list(self._conns):
             if conn.kill():
                 cut += 1
-        for worker in list(self._workers):
+        for worker in self._live_workers():
             worker.join(timeout=0.2)
         self._stop_reaper.set()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=1.0)
         if self._reaper_thread is not None:
             self._reaper_thread.join(
                 timeout=self.config.reaper_interval_s * 4 + 1.0)
@@ -672,19 +682,18 @@ class Gateway:
             connections_cut=cut)
         with contextlib.suppress(Exception):
             self.telemetry.close()
-        self._drained.set()
-        return True
+
+    def _live_workers(self) -> list[threading.Thread]:
+        return [worker for worker in list(self._workers)
+                if worker.is_alive()]
 
     def wait_drained(self, timeout: float | None = None) -> bool:
         return self._drained.wait(timeout)
 
     # -- accept / reap loops ----------------------------------------
     def _queue_saturated(self) -> bool:
-        try:
-            return self.service.admission.snapshot().get(
-                "queued", 0) >= _SHED_AT_QUEUE_DEPTH
-        except Exception:
-            return False
+        return (self.service.admission.queue_depth()
+                >= _SHED_AT_QUEUE_DEPTH)
 
     def _accept_loop(self) -> None:
         while not self._draining.is_set():
@@ -702,6 +711,9 @@ class Gateway:
                 self._reject_at_accept(client, reason)
                 continue
             self._m_connections.labels(event="accepted").inc()
+            # Configure the socket before publishing it: once in
+            # _conns, a drain or the reaper may close it at any time.
+            client.settimeout(self.config.read_timeout_s)
             conn = _Connection(client, addr, self._clock())
             with self._lock:
                 self._conns.add(conn)
@@ -709,9 +721,12 @@ class Gateway:
             worker = threading.Thread(
                 target=self._serve_connection, args=(conn,),
                 name=f"gateway-conn-{addr[1]}", daemon=True)
+            # Start before publishing: drain joins every thread in
+            # _workers, and joining an unstarted thread raises.  The
+            # lock keeps the worker's own discard behind this add.
             with self._lock:
+                worker.start()
                 self._workers.add(worker)
-            worker.start()
 
     def _reject_at_accept(self, client: socket.socket,
                           reason: str) -> None:
@@ -773,7 +788,6 @@ class Gateway:
     # -- connection worker ------------------------------------------
     def _serve_connection(self, conn: _Connection) -> None:
         try:
-            conn.sock.settimeout(self.config.read_timeout_s)
             buffer = b""
             while not conn.closed:
                 if self._draining.is_set() and conn.requests > 0:
@@ -1038,8 +1052,7 @@ class Gateway:
         This is the *only* condition under which an expired or
         past-generation cache entry may be served.
         """
-        brownout = self.service.admission.brownout
-        if brownout is not None and brownout.level > 0:
+        if self.service.admission.brownout.level > 0:
             return True
         return (self.service.embed_breaker.state is not
                 CircuitState.CLOSED

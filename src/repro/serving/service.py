@@ -5,9 +5,12 @@ oversized burst of queries, or a corpus refresh mid-flight all fail
 hard.  :class:`ResilientSearchService` wraps it in the containment a
 production deployment needs:
 
-* **admission control** — a bounded in-flight counter sheds excess
+* **admission control** — an
+  :class:`~repro.serving.admission.AdmissionController` sheds excess
   load up front with a structured ``shed`` outcome instead of queueing
-  unboundedly;
+  unboundedly: a fixed in-flight cap by default
+  (:meth:`~repro.serving.admission.AdmissionConfig.static`), or token
+  buckets, fair queuing, AIMD concurrency, and a brownout ladder;
 * **deadlines** — every request carries a cooperative time budget
   threaded through embed → index → materialize
   (:mod:`~repro.serving.deadline`);
@@ -70,7 +73,7 @@ from ..obs.memledger import MemoryLedger, ndarray_bytes, ring_bytes
 from ..obs.profiler import SamplingProfiler
 from ..robustness.faults import SimulatedCrash
 from .admission import (CRITICALITIES, SHED_REASONS, AdmissionConfig,
-                        AdmissionController, AdmissionDecision)
+                        AdmissionController)
 from .cluster import ClusterConfig, ClusterResult, IndexCluster
 from .deadline import Deadline, DeadlineExceeded
 from .degraded import DegradedRanker
@@ -160,11 +163,11 @@ class ServiceConfig:
     breaker_failure_threshold: int = 3
     breaker_reset_after: float = 5.0   # seconds open before half-open
     breaker_half_open_successes: int = 2
-    max_inflight: int = 8              # admission bound; excess is shed
-    #: Adaptive overload control (token buckets, fair queuing, AIMD
-    #: concurrency, brownout ladder).  ``None`` keeps the legacy
-    #: static ``max_inflight`` counter with immediate shedding.
-    admission: AdmissionConfig | None = None
+    #: Overload control.  The default admits 8 requests at a time and
+    #: sheds the rest at once; an adaptive config adds token buckets,
+    #: fair queuing, AIMD concurrency, and the brownout ladder.
+    admission: AdmissionConfig = field(
+        default_factory=lambda: AdmissionConfig.static(8))
     degraded_enabled: bool = True
     #: When given, each generation's indexes are served by an
     #: :class:`~repro.serving.cluster.IndexCluster` with this topology;
@@ -261,50 +264,6 @@ class _RequestTrace:
         self.attempts = 0
 
 
-class _StaticAdmission:
-    """The legacy bounded-counter admission path behind the same
-    acquire/release surface as :class:`AdmissionController`, so the
-    request pipeline has exactly one shape.  No queue, no tenants, no
-    brownout: excess load sheds immediately."""
-
-    brownout = None
-
-    def __init__(self, max_inflight: int):
-        self._max_inflight = int(max_inflight)
-        self._lock = threading.Lock()
-        self._inflight = 0
-
-    @property
-    def inflight(self) -> int:
-        with self._lock:
-            return self._inflight
-
-    @property
-    def limit(self) -> int:
-        return self._max_inflight
-
-    def acquire(self, tenant: str, criticality: str | None,
-                deadline: Deadline) -> AdmissionDecision:
-        criticality = criticality or "user"
-        with self._lock:
-            if self._inflight < self._max_inflight:
-                self._inflight += 1
-                return AdmissionDecision(True, tenant, criticality)
-        return AdmissionDecision(
-            False, tenant, criticality, reason="inflight_limit",
-            detail=f"load shed: {self._max_inflight} requests "
-                   f"already in flight")
-
-    def release(self, latency_s: float) -> None:
-        with self._lock:
-            self._inflight = max(0, self._inflight - 1)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {"mode": "static", "limit": self._max_inflight,
-                    "inflight": self._inflight, "queued": 0}
-
-
 class ResilientSearchService:
     """Wrap an engine in deadlines, breakers, shedding, and hot-swap.
 
@@ -376,18 +335,10 @@ class ResilientSearchService:
         self._status_counts: Counter[str] = Counter()
         self.telemetry = telemetry or Telemetry(clock=clock)
         self._setup_metrics()
-        #: The admission control plane: adaptive (token buckets, fair
-        #: queuing, AIMD concurrency, brownout ladder) when the config
-        #: carries an :class:`AdmissionConfig`, else the legacy static
-        #: counter behind the same acquire/release surface.
-        if self._config.admission is not None:
-            self.admission = AdmissionController(
-                self._config.admission, clock=clock, sleep=sleep,
-                registry=self.telemetry.registry,
-                events=self.telemetry.events,
-                tracer=self.telemetry.tracer)
-        else:
-            self.admission = _StaticAdmission(self._config.max_inflight)
+        self.admission = AdmissionController(
+            self._config.admission, clock=clock, sleep=sleep,
+            registry=self.telemetry.registry,
+            events=self.telemetry.events, tracer=self.telemetry.tracer)
         self.drift = DriftMonitor(
             drift_reference, registry=self.telemetry.registry,
             on_scores=lambda scores: self.telemetry.events.emit(
@@ -485,10 +436,8 @@ class ResilientSearchService:
         if self.telemetry.sampler is not None:
             self.memory.register(
                 "trace_sampler", self.telemetry.sampler.retained_bytes)
-        admission_bytes = getattr(self.admission, "retained_bytes",
-                                  None)
-        if admission_bytes is not None:
-            self.memory.register("admission_queue", admission_bytes)
+        self.memory.register("admission_queue",
+                             self.admission.retained_bytes)
         self.memory.register("outcome_ring", lambda: (
             ring_bytes(self.outcomes)
             + ring_bytes(self.ingest_outcomes)))
@@ -881,18 +830,11 @@ class ResilientSearchService:
                     # Brownout effects, evaluated once per request
                     # against the ladder the admission plane steps.
                     brownout = self.admission.brownout
-                    k_effective = k
-                    hedge = None
-                    force_degraded = False
-                    if brownout is not None:
-                        if brownout.active("hedge_off"):
-                            hedge = False
-                        if brownout.active("shrink_k"):
-                            k_effective = max(
-                                1, min(k, _BROWNOUT_K_CAP))
-                        force_degraded = (
-                            brownout.active("degraded")
-                            and self._config.degraded_enabled)
+                    hedge = False if brownout.active("hedge_off") else None
+                    k_effective = (max(1, min(k, _BROWNOUT_K_CAP))
+                                   if brownout.active("shrink_k") else k)
+                    force_degraded = (brownout.active("degraded")
+                                      and self._config.degraded_enabled)
                     class_id = generation.engine.resolve_class(class_name)
                     degraded_reason = None
                     fan_out = None
@@ -1392,8 +1334,7 @@ class ResilientSearchService:
             self._status_counts[status] += 1
         self._m_requests.labels(kind=kind, status=status).inc()
         if status == "shed":
-            self._m_shed.labels(reason=shed_reason or "inflight_limit",
-                                tenant=tenant).inc()
+            self._m_shed.labels(reason=shed_reason, tenant=tenant).inc()
         self._m_request_latency.observe(
             latency, trace_id=span.trace_id if span is not None
             else None)

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import Telemetry
-from repro.serving import (BROWNOUT_LADDER, AdaptiveLimiter,
-                           AdmissionConfig, AdmissionController,
-                           BrownoutConfig, BrownoutController, Deadline,
+from repro.serving import (BROWNOUT_LADDER, CRITICALITIES,
+                           AdaptiveLimiter, AdmissionConfig,
+                           AdmissionController, BrownoutConfig,
+                           BrownoutController, Deadline,
                            FairQueue, ResilientSearchService,
                            RetryPolicy, ServiceConfig, TenantPolicy,
                            TokenBucket)
@@ -456,7 +457,59 @@ class TestAdmissionController:
 
 
 # ----------------------------------------------------------------------
-# Service integration (adaptive + legacy static paths)
+# The static preset against its reference model: a plain counter
+# ----------------------------------------------------------------------
+_STATIC_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("acquire"), st.sampled_from(["a", "b", "c"]),
+              st.sampled_from([None, *CRITICALITIES])),
+    # Release latencies straddle the AIMD target, so an unpinned
+    # limit would move in both directions.
+    st.tuples(st.just("release"), st.floats(0.0, 5.0))),
+    max_size=80)
+
+
+class TestStaticPreset:
+    @settings(max_examples=60, deadline=None)
+    @given(limit=st.integers(1, 4), steps=_STATIC_STEPS)
+    def test_matches_a_plain_counter(self, limit, steps):
+        clock = FakeClock(start=7.0)
+        controller = AdmissionController(
+            AdmissionConfig.static(limit), clock=clock,
+            sleep=clock.sleep)
+        inflight = 0
+        for step in steps:
+            if step[0] == "acquire":
+                _, tenant, criticality = step
+                decision = controller.acquire(
+                    tenant, criticality, Deadline(1.0, clock=clock))
+                assert decision.admitted == (inflight < limit)
+                if decision.admitted:
+                    inflight += 1
+                else:
+                    assert decision.reason == "inflight_limit"
+                    assert decision.detail == (
+                        f"load shed: {limit} requests already in "
+                        f"flight")
+            elif inflight:
+                controller.release(step[1])
+                inflight -= 1
+            assert controller.inflight == inflight
+            assert controller.limit == limit
+            assert controller.brownout.level == 0
+        assert clock.now == 7.0  # no poll sleep, ever
+        for _ in range(inflight):
+            controller.release(0.0)
+        assert controller.inflight == 0
+        assert controller.queue_depth() == 0
+        assert controller.snapshot()["mode"] == "static"
+
+    def test_rejects_a_zero_limit(self):
+        with pytest.raises(ValueError):
+            AdmissionConfig.static(0)
+
+
+# ----------------------------------------------------------------------
+# Service integration (adaptive + static presets)
 # ----------------------------------------------------------------------
 def make_service(engine, clock=None, **overrides):
     clock = clock or FakeClock()
@@ -502,7 +555,10 @@ class TestServiceAdmission:
                               tenant="flood").value == 1
 
     def test_static_path_keeps_legacy_semantics(self, engine):
-        service, _ = make_service(engine, max_inflight=0)
+        service, clock = make_service(
+            engine, admission=AdmissionConfig.static(1))
+        assert service.admission.acquire(
+            "holder", None, Deadline(60.0, clock=clock)).admitted
         response = service.search_by_ingredients(
             known_ingredients(engine), k=3)
         outcome = response.outcome

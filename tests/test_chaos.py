@@ -25,8 +25,9 @@ import pytest
 from repro.robustness import (ChainedServingFaults, IndexCorruptionFault,
                               NaNEmbedFault, SlowEmbedFault,
                               SwapMidQueryFault)
-from repro.serving import (CircuitState, ResilientSearchService,
-                           RetryPolicy, ServiceConfig)
+from repro.serving import (AdmissionConfig, CircuitState, Deadline,
+                           ResilientSearchService, RetryPolicy,
+                           ServiceConfig)
 
 from ._serving_util import (FakeClock, known_ingredients, make_engine,
                             make_world)
@@ -131,7 +132,7 @@ class TestHotSwapUnderFire:
         engine = fresh_engine(world)
         # real clock: this scenario runs genuinely multi-threaded
         service = ResilientSearchService(engine, ServiceConfig(
-            deadline=5.0, max_inflight=64,
+            deadline=5.0, admission=AdmissionConfig.static(64),
             retry=RetryPolicy(max_attempts=2, base_delay=0.001,
                               jitter=0.0)))
         corpora = {0: engine.corpus,
@@ -248,7 +249,10 @@ class TestStructuredOutcomes:
 
     def test_shed_requests_are_recorded_not_raised(self, world):
         engine = fresh_engine(world)
-        service, _ = make_service(engine, max_inflight=0)
+        service, clock = make_service(
+            engine, admission=AdmissionConfig.static(1))
+        assert service.admission.acquire(
+            "holder", None, Deadline(60.0, clock=clock)).admitted
         ingredients = known_ingredients(engine)
         for _ in range(5):
             response = service.search_by_ingredients(ingredients, k=3)

@@ -7,13 +7,16 @@ suite.  Everything that needs a live socket lives in
 ``test_gateway_chaos.py`` behind the ``gateway`` marker.
 """
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serving import ServiceConfig
-from repro.serving.gateway import (BadRequest, CacheConfig, ResultCache,
-                                   SHED_STATUS_CODES, STATUS_CODES,
+from repro.serving.gateway import (BadRequest, CacheConfig, Gateway,
+                                   ResultCache, SHED_STATUS_CODES,
+                                   STATUS_CODES,
                                    normalize_search_request,
                                    parse_deadline_header,
                                    query_fingerprint)
@@ -249,3 +252,23 @@ def test_deadline_source_default_vs_caller(service):
     tagged = service.search_by_ingredients(
         ingredients, deadline=1.5, deadline_source="header")
     assert tagged.outcome.deadline_source == "header"
+
+
+# ----------------------------------------------------------------------
+# drain: a drain that hits a bad worker must still release its waiters
+# ----------------------------------------------------------------------
+def test_drain_with_an_unstarted_worker_still_completes():
+    dataset, featurizer = make_world(num_pairs=40)
+    gateway = Gateway(ResilientSearchService(
+        make_engine(dataset, featurizer)))
+    # Joining a thread that never started raises; a drain that died on
+    # it left every later drain() blocked on the drained event.
+    gateway._workers.add(threading.Thread(target=lambda: None))
+    assert gateway.drain() is True
+    assert gateway.wait_drained(0)
+    second = []
+    waiter = threading.Thread(
+        target=lambda: second.append(gateway.drain()), daemon=True)
+    waiter.start()
+    waiter.join(timeout=2.0)
+    assert second == [False]

@@ -20,8 +20,9 @@ from repro.obs import (DEFAULT_BUCKETS, EventLog, MetricError,
                        last_metrics_snapshot, parse_prometheus,
                        read_jsonl)
 from repro.robustness import NaNEmbedFault
-from repro.serving import (CircuitState, ResilientSearchService,
-                           RetryPolicy, ServiceConfig)
+from repro.serving import (AdmissionConfig, CircuitState, Deadline,
+                           ResilientSearchService, RetryPolicy,
+                           ServiceConfig)
 from repro.serving.service import BREAKER_STATE_VALUES
 
 from ._serving_util import (FakeClock, known_ingredients, make_engine,
@@ -440,7 +441,10 @@ class TestTelemetryUnderFaults:
         assert [e["state"] for e in breaker_events] == ["open"]
 
     def test_shed_requests_hit_the_shed_counter(self, world):
-        service, __ = make_service(world, max_inflight=0)
+        service, clock = make_service(
+            world, admission=AdmissionConfig.static(1))
+        assert service.admission.acquire(
+            "holder", None, Deadline(60.0, clock=clock)).admitted
         ingredients = known_ingredients(service._active.engine)
         response = service.search_by_ingredients(ingredients, k=3)
         assert response.outcome.status == "shed"

@@ -50,7 +50,7 @@ def adaptive_config(**overrides):
     return AdmissionConfig(**defaults)
 
 
-def make_service(engine, *, admission=None, max_inflight=8,
+def make_service(engine, *, admission=AdmissionConfig.static(8),
                  deadline=0.12, slow_per_inflight=0.02):
     """Real-clock service whose embed stage slows with concurrency.
 
@@ -65,8 +65,7 @@ def make_service(engine, *, admission=None, max_inflight=8,
         delay_per_inflight_s=slow_per_inflight)
     service = ResilientSearchService(
         engine,
-        ServiceConfig(deadline=deadline, max_inflight=max_inflight,
-                      admission=admission,
+        ServiceConfig(deadline=deadline, admission=admission,
                       retry=RetryPolicy(max_attempts=2,
                                         base_delay=0.001, jitter=0.0)),
         telemetry=Telemetry(), faults=fault)
@@ -99,7 +98,8 @@ class TestAdaptiveBeatsStatic:
         and keeps clearing work."""
         engine = fresh_engine(world)
         static = run_storm(
-            make_service(engine, admission=None), engine,
+            make_service(engine, admission=AdmissionConfig.static(8)),
+            engine,
             base_rate=30.0)
         adaptive = run_storm(
             make_service(engine, admission=adaptive_config()), engine,

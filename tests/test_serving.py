@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.serving import (CircuitBreaker, CircuitState, Deadline,
-                           DeadlineExceeded, DegradedRanker,
+from repro.serving import (AdmissionConfig, CircuitBreaker, CircuitState,
+                           Deadline, DeadlineExceeded, DegradedRanker,
                            ResilientSearchService, RetryPolicy,
                            ServiceConfig)
 
@@ -243,7 +243,10 @@ class TestServiceHappyPath:
         assert response.results == ()
 
     def test_shedding_when_queue_full(self, engine):
-        service, _ = make_service(engine, max_inflight=0)
+        service, clock = make_service(
+            engine, admission=AdmissionConfig.static(1))
+        assert service.admission.acquire(
+            "holder", None, Deadline(60.0, clock=clock)).admitted
         response = service.search_by_ingredients(
             known_ingredients(engine), k=3)
         assert response.outcome.status == "shed"

@@ -23,8 +23,8 @@ from repro.obs import (MetricsRegistry, SpanRecord, Telemetry,
                        render_tree, self_time, spans_from_jsonl)
 from repro.obs.critpath import kept_trace_tree
 from repro.obs.flight import FlightRecorder
-from repro.robustness import SlowShard
-from repro.serving import (AdmissionConfig, ClusterConfig,
+from repro.robustness import SlowEmbedFault, SlowShard
+from repro.serving import (AdmissionConfig, ClusterConfig, Deadline,
                            ResilientSearchService, RetryPolicy,
                            ServiceConfig)
 from repro.serving.ingest import IngestConfig
@@ -531,6 +531,91 @@ class TestServiceWholePath:
                       if r.name == "compaction"][-1]
         assert compaction.trace_id == ingest.trace_id
         assert compaction.parent_id == ingest.span_id
+
+
+# ----------------------------------------------------------------------
+# One latency budget: spans, serving_stage_seconds and stats() agree
+# ----------------------------------------------------------------------
+class TestLatencyBudgetAgreement:
+    @pytest.mark.parametrize("admission", [
+        AdmissionConfig.static(2),
+        AdmissionConfig(initial_limit=2, min_limit=1, max_limit=4)],
+        ids=["static", "adaptive"])
+    def test_stage_totals_agree_across_sources(self, world, admission):
+        dataset, featurizer = world
+        clock = FakeClock()
+        slow = SlowEmbedFault(requests=[0, 2, 3], delay=0.05,
+                              sleep=clock.sleep)
+        service = ResilientSearchService(
+            make_engine(dataset, featurizer),
+            ServiceConfig(deadline=1.0, admission=admission),
+            clock=clock, sleep=clock.sleep, rng=random.Random(0),
+            faults=slow)
+        ingredients = known_ingredients(service.engine, 2)
+        for __ in range(4):
+            assert service.search_by_ingredients(ingredients, k=3).ok
+        # With every slot held, the static preset sheds at once and
+        # the adaptive queue holds the request until its deadline dies.
+        held = [service.admission.acquire(
+            "holder", None, Deadline(60.0, clock=clock))
+            for __ in range(service.admission.limit)]
+        assert all(decision.admitted for decision in held)
+        shed = service.search_by_ingredients(ingredients, k=3,
+                                             deadline=0.3).outcome
+        assert shed.status == "shed"
+        for __ in held:
+            service.admission.release(0.0)
+
+        trees = [tree for tree in build_traces(
+            service.telemetry.tracer.records()).values()
+            if tree.root is not None and tree.root.name == "request"]
+        assert len(trees) == 5
+        static = admission.max_queue_depth == 0
+        # queue_wait nests under admit for every request that reached
+        # the queue; a static shed never does.
+        assert [[grandchild.name for grandchild in child.children]
+                for tree in trees for child in tree.root.children
+                if child.name == "admit"] == \
+            [["queue_wait"]] * 4 + [[] if static else ["queue_wait"]]
+        from_spans: dict[str, float] = {}
+        for tree in trees:
+            for child in tree.root.children:
+                from_spans[child.name] = (from_spans.get(child.name, 0.0)
+                                          + child.duration)
+        critical = aggregate(trees)["by_name"]
+        from_critpath = {
+            name: sum(critical.get(part, {"seconds": 0.0})["seconds"]
+                      for part in parts)
+            for name, parts in (("admit", ("admit", "queue_wait")),
+                                ("embed", ("embed",)),
+                                ("index", ("index",)),
+                                ("materialize", ("materialize",)))}
+        from_outcomes: dict[str, float] = {}
+        for outcome in service.outcomes:
+            for name, ms in outcome.stage_ms.items():
+                from_outcomes[name] = from_outcomes.get(name, 0.0) + ms
+        histogram = dict(service.telemetry.registry.get(
+            "serving_stage_seconds").children())
+        stats = service.stats()["stage_latency_ms"]
+
+        assert set(from_spans) == set(stats) == {
+            "admit", "embed", "index", "materialize"}
+        for name, seconds in from_spans.items():
+            child = histogram[(name,)]
+            assert child.sum == pytest.approx(seconds)
+            assert stats[name]["total_ms"] == pytest.approx(
+                seconds * 1000.0)
+            assert from_outcomes[name] == pytest.approx(seconds * 1000.0)
+            assert from_critpath[name] == pytest.approx(seconds)
+        assert stats["admit"]["count"] == 5
+        assert stats["embed"]["count"] == 4
+        assert from_spans["embed"] == pytest.approx(0.15)
+        if static:
+            assert shed.shed_reason == "inflight_limit"
+            assert from_spans["admit"] == 0.0
+        else:
+            assert shed.shed_reason == "expired"
+            assert from_spans["admit"] >= 0.3
 
 
 # ----------------------------------------------------------------------
