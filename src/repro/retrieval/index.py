@@ -23,7 +23,20 @@ import numpy as np
 from .distance import (cosine_distance_matrix, cosine_distances_to,
                        normalize_rows)
 
-__all__ = ["NearestNeighborIndex"]
+__all__ = ["NearestNeighborIndex", "top_k"]
+
+
+def top_k(rows: np.ndarray, keys: np.ndarray, vector: np.ndarray,
+          k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(keys, distances)`` of the ``k`` unit-norm ``rows`` nearest
+    ``vector``; ties keep row order (stable sort), so ascending
+    ``keys`` come out in the ``(distance, key)`` order of
+    :func:`~repro.serving.sharding.merge_topk`."""
+    if len(keys) == 0:
+        return keys, np.empty(0, dtype=np.float64)
+    distances = cosine_distances_to(rows, vector)
+    order = np.argsort(distances, kind="stable")[:k]
+    return keys[order], distances[order]
 
 
 class NearestNeighborIndex:
@@ -225,13 +238,7 @@ class NearestNeighborIndex:
         ``(distance, position)`` lexsort.
         """
         candidates = self._candidates(k, class_id, strict, mask=mask)
-        if candidates.size == 0:
-            return (np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float64))
-        distances = cosine_distances_to(self.embeddings[candidates],
-                                        vector)
-        order = np.argsort(distances, kind="stable")[:k]
-        return candidates[order], distances[order]
+        return top_k(self.embeddings[candidates], candidates, vector, k)
 
     def query_batch(self, vectors: np.ndarray, k: int = 5,
                     class_id: int | None = None, strict: bool = False,

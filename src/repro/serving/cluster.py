@@ -30,7 +30,12 @@ survivable:
   (the resilient service maps it to a ``partial`` outcome);
 * **anti-entropy** — a background pass rebuilds dead or tripped
   replicas from a healthy sibling (verbatim copy, preserving the
-  bitwise contract) and resets their breakers.
+  bitwise contract) and resets their breakers;
+* **streamed writes** — replicas never change after build: a delete
+  clears a bit of one liveness mask every shard query applies, and an
+  add lands in one delta segment each query scans and merges.
+  Streamed rows join a shard only when compaction re-shards the
+  folded base, so a lost shard drops only its sealed rows.
 
 Everything observable lands in :mod:`repro.obs`: per-shard latency
 histograms, per-replica state gauges, hedge / failover / rebuild /
@@ -50,10 +55,11 @@ from typing import Callable
 import numpy as np
 
 from ..obs import LATENCY_BUCKETS, Telemetry
-from ..retrieval.index import NearestNeighborIndex
+from ..obs.memledger import ndarray_bytes
+from ..retrieval.index import NearestNeighborIndex, top_k
 from .deadline import Deadline
 from .retry import CircuitBreaker, CircuitState
-from .sharding import merge_topk, partition_positions, shard_of
+from .sharding import merge_topk, partition_positions
 
 __all__ = ["ClusterConfig", "ClusterResult", "ShardReplica",
            "IndexCluster", "REPLICA_STATE_VALUES", "REPLICA_DEAD",
@@ -187,7 +193,7 @@ class ShardReplica:
 
 
 class _Shard:
-    """R replicas over one deterministic slice of the corpus."""
+    """R replicas over one deterministic slice of the sealed corpus."""
 
     def __init__(self, shard_id: int, positions: np.ndarray,
                  replicas: list[ShardReplica]):
@@ -306,9 +312,13 @@ class IndexCluster:
         self._class_ids = (None if index.class_ids is None
                            else index.class_ids.copy())
         self._live = np.ones(len(self._ids), dtype=bool)
-        # Serializes streamed delta application (and anti-entropy
-        # rebuilds) against each other; queries stay lock-free — they
-        # read each replica's ``index`` reference exactly once.
+        # Rows at positions >= _sealed are streamed adds; slot
+        # ``position - _sealed`` of the delta segment holds each one.
+        self._sealed = len(self._ids)
+        self._segment = np.empty((0, index.embeddings.shape[1]))
+        # Serializes writes against each other and anti-entropy passes
+        # against each other.  Queries stay lock-free: they snapshot
+        # ``_live`` once, first, and writes publish it last.
         self._topology_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._next_query_id = 0
@@ -425,8 +435,7 @@ class IndexCluster:
         whole-shard-lost scenario partial results exist for).
         """
         rebuilt = 0
-        # Taken so a rebuild cannot interleave with a streamed delta
-        # being applied to the same shard's replicas.
+        # Every query may run a pass; two must not rebuild one replica.
         with self._topology_lock:
             for shard in self.shards:
                 broken = [rep for rep in shard.replicas
@@ -460,25 +469,14 @@ class IndexCluster:
         return rebuilt
 
     # ------------------------------------------------------------------
-    # Streamed deltas (ingest overlay mirrored into the shards)
+    # Streamed deltas (ingest overlay mirrored into mask + segment)
     # ------------------------------------------------------------------
     def apply_add(self, item_id: int, row: np.ndarray, class_id: int,
                   position: int) -> None:
-        """Physically add one streamed row at global ``position``.
-
-        The item routes to its owning shard by the same splitmix64
-        placement the base build used (:func:`shard_of` on the item
-        id), so a corpus rebuilt from the folded state shards
-        identically.  Every replica of the owning shard gets the row
-        via the verbatim ``append_rows`` path; the replica's
-        ``index`` reference is swapped atomically, so racing queries
-        see the shard either with or without the row — never torn.
-
-        ``position`` may skip past gaps (merge keys whose item was
-        tombstoned before this cluster ever saw it); gap positions
-        hold no rows anywhere, so they can never be returned.
-        """
-        row = np.asarray(row, dtype=np.float64).reshape(1, -1)
+        """Write one streamed, already-normalized row into the delta
+        segment at global ``position`` (never a sealed one).  Positions
+        may skip gaps — merge keys tombstoned before this cluster saw
+        them — which stay dead and are never returned."""
         item_id = int(item_id)
         position = int(position)
         with self._topology_lock:
@@ -486,30 +484,26 @@ class IndexCluster:
             if position < size and self._live[position]:
                 raise ValueError(
                     f"position {position} is already live")
-            if position >= size:
-                grow = position + 1 - size
-                self._ids = np.concatenate(
-                    [self._ids, np.full(grow, -1, dtype=np.int64)])
-                self._live = np.concatenate(
-                    [self._live, np.zeros(grow, dtype=bool)])
-                if self._class_ids is not None:
-                    self._class_ids = np.concatenate(
-                        [self._class_ids,
-                         np.full(grow, -1, dtype=np.int64)])
+            if position < self._sealed:
+                raise ValueError(
+                    f"position {position} is sealed (streamed rows "
+                    f"start at {self._sealed})")
+            # Publish grown arrays ``_live`` last and set the bit only
+            # once the row is written; dead gap slots are never read.
+            for name in ("_segment", "_ids", "_class_ids", "_live"):
+                old = getattr(self, name)
+                if old is not None and position >= size:
+                    setattr(self, name, np.concatenate(
+                        [old, np.zeros((position + 1 - size,)
+                                       + old.shape[1:], dtype=old.dtype)]))
+            self._segment[position - self._sealed] = row
             self._ids[position] = item_id
-            self._live[position] = True
             if self._class_ids is not None:
                 self._class_ids[position] = int(class_id)
-            shard = self.shards[shard_of(item_id, len(self.shards))]
-            labels = np.array([position], dtype=np.int64)
-            classes = (None if self._class_ids is None
-                       else np.array([int(class_id)], dtype=np.int64))
-            for rep in shard.replicas:
-                rep.index = rep.index.append_rows(row, labels, classes)
-            shard.positions = np.concatenate([shard.positions, labels])
+            self._live[position] = True
 
     def apply_delete(self, item_id: int, position: int) -> None:
-        """Physically drop one streamed tombstone from its shard."""
+        """Tombstone one live row, sealed or streamed."""
         item_id = int(item_id)
         position = int(position)
         with self._topology_lock:
@@ -521,18 +515,24 @@ class IndexCluster:
                     f"position {position} holds item "
                     f"{int(self._ids[position])}, not {item_id}")
             self._live[position] = False
-            shard = self.shards[shard_of(item_id, len(self.shards))]
-            for rep in shard.replicas:
-                keep = np.flatnonzero(rep.index.ids != position)
-                rep.index = rep.index.subset(keep)
-            shard.positions = shard.positions[
-                shard.positions != position]
 
     def live_item_count(self) -> int:
         return int(np.count_nonzero(self._live))
 
+    def retained_bytes(self) -> int:
+        """Bytes held by every replica's index arrays plus the
+        cluster's own positions, ids, classes, liveness mask and delta
+        segment."""
+        replicas = [rep.index for shard in self.shards
+                    for rep in shard.replicas]
+        return ndarray_bytes(
+            *(array for index in replicas
+              for array in (index.embeddings, index.ids, index.class_ids)),
+            *(shard.positions for shard in self.shards),
+            self._ids, self._class_ids, self._live, self._segment)
+
     def describe(self) -> dict:
-        """Topology + health snapshot for ``stats()`` and dashboards."""
+        """Topology + health snapshot; per-shard ``items`` are sealed rows."""
         with self._stats_lock:
             totals = {"queries": self._queries, "hedges": self._hedges,
                       "failovers": self._failovers,
@@ -565,7 +565,7 @@ class IndexCluster:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _validate(self, k: int, class_id: int | None,
+    def _validate(self, live: np.ndarray, k: int, class_id: int | None,
                   strict: bool) -> None:
         """Caller-contract checks, synchronous and fan-out-free, so
         invalid queries raise :class:`ValueError` exactly like the
@@ -575,9 +575,9 @@ class IndexCluster:
         if class_id is not None and self._class_ids is None:
             raise ValueError("index built without class metadata")
         if strict:
-            pool = (int(np.count_nonzero(self._live)) if class_id is None
+            pool = (int(np.count_nonzero(live)) if class_id is None
                     else int(np.count_nonzero(
-                        self._live & (self._class_ids == class_id))))
+                        live & (self._class_ids[:len(live)] == class_id))))
             if pool < k:
                 raise ValueError(
                     f"k={k} exceeds the candidate pool of {pool}"
@@ -610,7 +610,8 @@ class IndexCluster:
             self._queries += 1
         if self._faults is not None:
             self._faults.on_cluster_query(query_id, self)
-        self._validate(k, class_id, strict)
+        live = self._live        # snapshot before reading other arrays
+        self._validate(live, k, class_id, strict)
         # An already-blown request budget means every shard answer
         # would have to be discarded — skip the fan-out entirely.
         expired = deadline is not None and deadline.expired
@@ -630,8 +631,8 @@ class IndexCluster:
                     tracer.span("shard_query", cluster=self.name,
                                 shard=shard.shard_id) as span:
                 outcomes[slot] = self._query_shard(
-                    shard, vector, k, class_id, shard_budget, query_id,
-                    stats, hedge=hedge)
+                    shard, vector, k, class_id, live[shard.positions],
+                    shard_budget, query_id, stats, hedge=hedge)
                 span.set_attribute(
                     "answered", outcomes[slot] is not None)
 
@@ -652,7 +653,14 @@ class IndexCluster:
                 run(i, shard)
 
         answered = [out for out in outcomes if out is not None]
-        positions, distances = merge_topk(answered, k)
+        # One scan of the live streamed rows, merged as one more part
+        # (skipped, like the shards, once the budget is gone).
+        selector = live[self._sealed:] & (not expired)
+        if class_id is not None:
+            selector &= self._class_ids[self._sealed:len(live)] == class_id
+        slots = np.flatnonzero(selector)
+        segment = top_k(self._segment[slots], self._sealed + slots, vector, k)
+        positions, distances = merge_topk(answered + [segment], k)
         result = ClusterResult(
             ids=self._ids[positions], distances=distances,
             shards_total=len(self.shards),
@@ -687,10 +695,10 @@ class IndexCluster:
     # Per-shard execution: lanes, hedging, failover
     # ------------------------------------------------------------------
     def _query_shard(self, shard: _Shard, vector, k: int,
-                     class_id: int | None, budget: Deadline | None,
-                     query_id: int, stats: _QueryStats,
-                     hedge: bool | None = None):
-        """Primary failover chain, optionally raced by a hedge lane."""
+                     class_id: int | None, mask: np.ndarray,
+                     budget: Deadline | None, query_id: int,
+                     stats: _QueryStats, hedge: bool | None = None):
+        """Masked failover chain, optionally raced by a hedge lane."""
         hedge = (self._config.hedge_enabled if hedge is None
                  else bool(hedge) and self._config.hedge_enabled)
         ordered = [rep for rep in shard.replicas if rep.available()]
@@ -714,7 +722,8 @@ class IndexCluster:
                         answer = self._attempt(
                             shard, rep, query_id, budget,
                             lambda: rep.index.query(
-                                vector, k=k, class_id=class_id))
+                                vector, k=k, class_id=class_id,
+                                mask=mask))
                     except _ReplicaDown:
                         stats.failover()
                         self._m_failovers.labels(

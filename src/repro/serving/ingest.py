@@ -42,8 +42,8 @@ import numpy as np
 
 from ..data.schema import Recipe
 from ..obs import Telemetry
-from ..retrieval.distance import cosine_distances_to, normalize_rows
-from ..retrieval.index import NearestNeighborIndex
+from ..retrieval.distance import normalize_rows
+from ..retrieval.index import NearestNeighborIndex, top_k
 from .sharding import merge_topk
 from .wal import DeltaLog, LogPosition, read_manifest, replay_segments
 
@@ -87,7 +87,7 @@ class IngestAck:
     record yet (always true with ``fsync_every=1``).  ``key`` is the
     merge key the item now occupies (``replaced_key`` the one an
     upsert tombstoned) — what the cluster needs to mirror the change
-    into its shards.
+    into its liveness mask and delta segment.
     """
 
     op: IngestOp
@@ -359,15 +359,8 @@ class DeltaOverlay:
         if class_id is not None:
             selector = selector & (self._class[:slots] == class_id)
         live = np.flatnonzero(selector)
-        if live.size:
-            distances = cosine_distances_to(self._rows[:slots][live],
-                                            vector)
-            order = np.argsort(distances, kind="stable")[:k]
-            delta_part = ((self.offset + live[order]).astype(np.int64),
-                          distances[order])
-        else:
-            delta_part = (np.empty(0, dtype=np.int64),
-                          np.empty(0, dtype=np.float64))
+        delta_part = top_k(self._rows[live], self.offset + live,
+                           vector, k)
         return merge_topk([base_part, delta_part], k)
 
     def resolve_ids(self, keys: np.ndarray) -> np.ndarray:

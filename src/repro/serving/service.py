@@ -407,7 +407,8 @@ class ResilientSearchService:
     # ------------------------------------------------------------------
     def _register_memory_reporters(self) -> None:
         """Teach the ledger where this service's bytes live: index
-        rows, ingest overlay + WAL-on-disk, telemetry ring buffers,
+        rows, cluster replicas + delta segment, ingest overlay +
+        WAL-on-disk, telemetry ring buffers,
         admission queue, outcome logs.  Every reporter reads the
         *current* generation through ``self`` so hot-swaps are
         reflected without re-registration."""
@@ -423,6 +424,10 @@ class ResilientSearchService:
             }
 
         self.memory.register("index", index_bytes)
+        if self._config.cluster is not None:
+            self.memory.register("cluster", lambda: {
+                "image": self._active.image_cluster.retained_bytes(),
+                "recipe": self._active.recipe_cluster.retained_bytes()})
         if self.ingestor is not None:
             self.memory.register("overlay", lambda: sum(
                 overlay.retained_bytes()
@@ -1104,6 +1109,9 @@ class ResilientSearchService:
                     ack = self.ingestor.add(
                         {"image": image_vec, "recipe": recipe_vec},
                         class_id=int(class_id), payload=payload)
+                    # Re-read under the lock: a compaction may have
+                    # swapped generations since the snapshot above.
+                    generation = self._active
                     self._apply_replayed_to_clusters(
                         generation, ack.op, ack.key, ack.replaced_key)
             except SimulatedCrash:
@@ -1139,6 +1147,7 @@ class ResilientSearchService:
             try:
                 with self._ingest_lock:
                     ack = self.ingestor.delete(int(item_id))
+                    generation = self._active
                     self._apply_replayed_to_clusters(
                         generation, ack.op, ack.key, ack.replaced_key)
             except SimulatedCrash:

@@ -14,7 +14,7 @@ from ._serving_util import (FakeClock, known_ingredients, make_engine,
                             make_world)
 from repro.obs import Telemetry, last_metrics_snapshot
 from repro.retrieval.index import NearestNeighborIndex
-from repro.serving import ResilientSearchService, ServiceConfig
+from repro.serving import IngestConfig, ResilientSearchService, ServiceConfig
 from repro.serving.cluster import (REPLICA_DEAD, ClusterConfig,
                                    IndexCluster)
 from repro.serving.deadline import Deadline
@@ -279,3 +279,61 @@ class TestClusteredService:
                      "cluster_anti_entropy_rebuilds_total",
                      "cluster_partial_results_total"):
             assert name in snapshot, name
+
+    def test_write_racing_compaction_lands_in_new_generation(
+            self, world, tmp_path):
+        """A compaction that commits between ``ingest()``'s embed and
+        its write must not strand the write in the retired generation's
+        clusters: the item is searchable and deletable afterwards."""
+        dataset, featurizer = world
+        clock = FakeClock()
+        service = ResilientSearchService(
+            make_engine(dataset, featurizer),
+            ServiceConfig(cluster=ClusterConfig(num_shards=2,
+                                                replication=1)),
+            clock=clock, sleep=clock.sleep, ingest_log=tmp_path / "wal",
+            ingest_config=IngestConfig(compact_at_delta_rows=None))
+        engine = service._active.engine
+        embed_recipe = engine.embed_recipe
+        compactions = []
+
+        def embed_then_compact(recipe):
+            if not compactions:
+                compactions.append(service.compact_ingest())
+            return embed_recipe(recipe)
+
+        engine.embed_recipe = embed_then_compact
+        recipe = list(dataset.split("train"))[0]
+        outcome = service.ingest(recipe)
+        assert compactions[0].ok
+        assert outcome.status == "ok"
+        assert outcome.generation == service._active.generation == 1
+        response = service.search_by_recipe(recipe, k=500)
+        assert response.outcome.status == "ok"
+        assert outcome.item_id in [r.corpus_row for r in response.results]
+        assert service.delete(outcome.item_id).status == "ok"
+
+    def test_memory_ledger_counts_replicas_and_segment(self, world,
+                                                       tmp_path):
+        dataset, featurizer = world
+        clock = FakeClock()
+        service = ResilientSearchService(
+            make_engine(dataset, featurizer),
+            ServiceConfig(cluster=ClusterConfig(num_shards=2,
+                                                replication=2)),
+            clock=clock, sleep=clock.sleep, ingest_log=tmp_path / "wal",
+            ingest_config=IngestConfig(compact_at_delta_rows=None))
+        assert service.ingest(list(dataset.split("train"))[0]).ok
+        components = service.stats()["memory"]["components"]
+        for name in ("image", "recipe"):
+            cluster = getattr(service._active, f"{name}_cluster")
+            assert len(cluster._segment) == 1
+            arrays = [cluster._ids, cluster._class_ids, cluster._live,
+                      cluster._segment]
+            for shard in cluster.shards:
+                arrays.append(shard.positions)
+                for rep in shard.replicas:
+                    arrays += [rep.index.embeddings, rep.index.ids,
+                               rep.index.class_ids]
+            expected = sum(a.nbytes for a in arrays if a is not None)
+            assert components[f"cluster.{name}"] == expected

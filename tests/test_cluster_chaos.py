@@ -1,7 +1,8 @@
 """Cluster chaos suite: scripted shard/replica fault schedules.
 
-Run with ``pytest -m cluster`` (or ``make cluster-chaos``); excluded
-from the default tier-1 run alongside the serving chaos suite.
+Run with ``pytest -m cluster`` (or ``make cluster-chaos``).  The
+fake-clock cases carry ``fakeclock`` and also run in tier-1; the
+real-sleep hedging case (c) stays opt-in.
 
 The acceptance scenarios from the issue:
 
@@ -50,6 +51,7 @@ def make_clustered_service(world, cluster_faults=None):
 # ----------------------------------------------------------------------
 # (a) replica crashes mid-run: failover, then anti-entropy repair
 # ----------------------------------------------------------------------
+@pytest.mark.fakeclock
 class TestReplicaCrashMidRun:
     def test_failover_then_heal(self, world):
         # Kill replica 0 of every shard just as the third image-cluster
@@ -97,6 +99,7 @@ class TestReplicaCrashMidRun:
 # ----------------------------------------------------------------------
 # (b) whole-shard loss: partial results, never exceptions
 # ----------------------------------------------------------------------
+@pytest.mark.fakeclock
 class TestShardLoss:
     def test_partial_with_correct_coverage(self, world):
         fault = ShardLoss(query=1, shard_id=1)

@@ -374,18 +374,27 @@ class TestDeltaOverlay:
 # ----------------------------------------------------------------------
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), num_ops=st.integers(0, 40),
-       class_query=st.booleans())
-def test_overlay_matches_monolithic_rebuild(seed, num_ops, class_query):
+       class_query=st.booleans(), shards=st.integers(1, 4),
+       replicas=st.integers(1, 2))
+def test_overlay_matches_monolithic_rebuild(seed, num_ops, class_query,
+                                            shards, replicas):
     """Arbitrary add/delete/upsert interleavings: the overlay's merged
     top-k and its fold are bitwise identical to an index rebuilt from
     the effective corpus (live base rows in order, then live delta
-    rows in slot order)."""
+    rows in slot order).  So is a cluster that mirrors every op
+    through ``apply_add``/``apply_delete`` as the service does, and
+    one booted by replaying the overlay (gaps included).  Some adds
+    copy a live row, so distance ties straddle sealed and streamed
+    rows."""
     rng = RNG(seed)
     dim = 12
     base = NearestNeighborIndex(rng.normal(size=(30, dim)),
                                 ids=np.arange(30),
                                 class_ids=rng.integers(0, 3, 30))
     overlay = DeltaOverlay(base)
+    config = ClusterConfig(num_shards=shards, replication=replicas,
+                           parallel=False)
+    mirrored = IndexCluster(base, config)
     effective = [(i, base.embeddings[i], int(base.class_ids[i]))
                  for i in range(30)]
     next_id = 30
@@ -398,21 +407,34 @@ def test_overlay_matches_monolithic_rebuild(seed, num_ops, class_query):
             else:
                 item = next_id
                 next_id += 1
-            row = normalize_rows(rng.normal(size=(1, dim)))[0]
+            if live and rng.random() < 0.3:      # tie with a live row
+                row = effective[rng.integers(len(effective))][1].copy()
+            else:
+                row = normalize_rows(rng.normal(size=(1, dim)))[0]
             class_id = int(rng.integers(0, 3))
-            overlay.add(item, row, class_id)
+            replaced = overlay.add(item, row, class_id)
+            if replaced is not None:
+                mirrored.apply_delete(item, replaced)
+            mirrored.apply_add(item, row, class_id, overlay.key_for(item))
             effective = [e for e in effective if e[0] != item]
             effective.append((item, row, class_id))
         else:
             item = int(live[rng.integers(len(live))])
-            overlay.delete(item)
+            mirrored.apply_delete(item, overlay.delete(item))
             effective = [e for e in effective if e[0] != item]
+    booted = IndexCluster(base, config)
+    for item, key in overlay.dead_base_items():
+        booted.apply_delete(item, key)
+    for item, row, class_id, key in overlay.delta_entries():
+        booted.apply_add(item, row, class_id, key)
 
     query = rng.normal(size=dim)
     class_id = int(rng.integers(0, 3)) if class_query else None
     if not effective:
         ids, distances = overlay.query(query, k=5, class_id=class_id)
         assert len(ids) == 0 and len(distances) == 0
+        for cluster in (mirrored, booted):
+            assert cluster.query(query, k=5, class_id=class_id).ids.size == 0
         return
     mono = NearestNeighborIndex.from_normalized(
         np.array([row for _, row, _ in effective]),
@@ -423,6 +445,13 @@ def test_overlay_matches_monolithic_rebuild(seed, num_ops, class_query):
         m_ids, m_distances = mono.query(query, k=k, class_id=class_id)
         assert np.array_equal(o_ids, m_ids)
         assert o_distances.tobytes() == m_distances.tobytes()
+        for cluster_class in (None, 0, 1, 2):
+            m_ids, m_distances = mono.query(query, k=k,
+                                            class_id=cluster_class)
+            for cluster in (mirrored, booted):
+                result = cluster.query(query, k=k, class_id=cluster_class)
+                assert np.array_equal(result.ids, m_ids)
+                assert result.distances.tobytes() == m_distances.tobytes()
     folded = overlay.fold()
     assert folded.embeddings.tobytes() == mono.embeddings.tobytes()
     assert np.array_equal(folded.ids, mono.ids)

@@ -1,4 +1,7 @@
-"""Streaming-ingest chaos suite (opt-in via ``-m ingest``).
+"""Streaming-ingest chaos suite (``-m ingest`` runs all of it).
+
+Every fake-clock case carries ``fakeclock`` and also runs in tier-1;
+only ``test_real_racing_thread`` (a real reader thread) stays opt-in.
 
 Three storylines from the durability contract, driven end-to-end
 through :class:`ResilientSearchService`:
@@ -91,6 +94,7 @@ def search_fingerprint(service, probes, k=10):
 # ----------------------------------------------------------------------
 # (a) kill -9 mid-append
 # ----------------------------------------------------------------------
+@pytest.mark.fakeclock
 class TestTornAppend:
     def test_acked_writes_survive_torn_tail(self, world, tmp_path):
         log_dir = tmp_path / "wal"
@@ -190,6 +194,7 @@ def _mutate(service, world):
     return recipes
 
 
+@pytest.mark.fakeclock
 class TestCrashMidCompaction:
     @pytest.mark.parametrize("phase", ["folded", "base_written",
                                        "manifest_written"])
@@ -252,6 +257,7 @@ class TestCrashMidCompaction:
 # (c) queries racing the compaction swap
 # ----------------------------------------------------------------------
 class TestRacingQueries:
+    @pytest.mark.fakeclock
     def test_exactly_once_at_every_phase_edge(self, world, tmp_path):
         holder = {}
         observed = []
@@ -310,6 +316,7 @@ class TestRacingQueries:
         assert not failures, failures[:3]
         assert service.ingestor.epoch == 3
 
+    @pytest.mark.fakeclock
     def test_cluster_mode_matches_monolithic_twin(self, world,
                                                   tmp_path):
         mono = make_service(world, tmp_path / "mono")
