@@ -104,9 +104,9 @@ def test_bench_index_query_loop(benchmark, bench_record):
 
 
 def test_bench_index_query_batch(benchmark, bench_record):
-    """The vectorized path: all 64 queries in one matmul.  Must beat
-    the loop above by a wide margin (the cluster's batched per-shard
-    merge path rides on it)."""
+    """The vectorized path: all 64 queries in one matmul, then the
+    shared top-k selection per row.  Must beat the loop above by a wide
+    margin (the drift monitor's reference build rides on it)."""
     rng = RNG(8)
     index = NearestNeighborIndex(rng.normal(size=(2000, 32)))
     vectors = rng.normal(size=(64, 32))

@@ -14,6 +14,13 @@ exactly the monolithic result.  Batched queries
 (:meth:`NearestNeighborIndex.query_batch`) instead use one BLAS matmul
 for throughput; their distances agree with the single-query path to
 within one ulp but are not guaranteed bit-identical.
+
+Every query ranks in ``(distance, position)`` order — equal distances
+go to the lower row, NaN distances last.  That order, not any sort
+mechanism, is the contract the cluster's merge and the delta overlay
+build on; one selection routine (a partition for the k-th distance,
+then a lexsort over the candidates at or under it) produces it for
+every query path.
 """
 
 from __future__ import annotations
@@ -26,16 +33,35 @@ from .distance import (cosine_distance_matrix, cosine_distances_to,
 __all__ = ["NearestNeighborIndex", "top_k"]
 
 
+def _select(distances: np.ndarray, keys: np.ndarray,
+            k: int) -> np.ndarray:
+    """Indices of the ``k`` smallest ``distances`` in ``(distance,
+    key)`` order, NaN last.
+
+    A partition finds the k-th distance; only the candidates at or
+    under it are lexsorted.  The pool test is ``~(d > kth)`` rather
+    than ``d <= kth``: NaN compares false both ways, so an all-NaN
+    pool (``kth`` is NaN) keeps every row instead of none, and a
+    corrupted index still answers with non-finite distances that the
+    service's guard can see.
+    """
+    if k < len(distances):
+        kth = np.partition(distances, k - 1)[k - 1]
+        pool = np.flatnonzero(~(distances > kth))
+    else:
+        pool = np.arange(len(distances))
+    return pool[np.lexsort((keys[pool], distances[pool]))[:k]]
+
+
 def top_k(rows: np.ndarray, keys: np.ndarray, vector: np.ndarray,
           k: int) -> tuple[np.ndarray, np.ndarray]:
     """``(keys, distances)`` of the ``k`` unit-norm ``rows`` nearest
-    ``vector``; ties keep row order (stable sort), so ascending
-    ``keys`` come out in the ``(distance, key)`` order of
+    ``vector``, in the ``(distance, key)`` order of
     :func:`~repro.serving.sharding.merge_topk`."""
     if len(keys) == 0:
         return keys, np.empty(0, dtype=np.float64)
     distances = cosine_distances_to(rows, vector)
-    order = np.argsort(distances, kind="stable")[:k]
+    order = _select(distances, keys, k)
     return keys[order], distances[order]
 
 
@@ -212,9 +238,10 @@ class NearestNeighborIndex:
         pool yields an empty pair.  Pass ``strict=True`` to raise
         :class:`ValueError` instead whenever ``k`` exceeds the pool.
 
-        Ties are broken by candidate position (stable sort), so equal
-        distances resolve to the lower row — the same order the
-        cluster's merge reproduces across shards.
+        Results come in ``(distance, position)`` order: equal
+        distances resolve to the lower row, and NaN distances sort
+        last — the same order the cluster's merge reproduces across
+        shards.
 
         ``mask`` is an optional per-row liveness filter aligned with
         the embedding rows; masked-out rows are excluded from the
@@ -236,9 +263,22 @@ class NearestNeighborIndex:
         instead of ids — the form the delta overlay merges on, since
         positions are the tie-break key of the cluster's
         ``(distance, position)`` lexsort.
+
+        Without a class filter the kernel scores the stored rows in
+        place (a liveness ``mask`` then indexes the distances, which
+        is bit-identical: the kernel reduces each row on its own); a
+        class filter gathers its rows first, since a class is a small
+        share of the index.
         """
         candidates = self._candidates(k, class_id, strict, mask=mask)
-        return top_k(self.embeddings[candidates], candidates, vector, k)
+        if class_id is not None:
+            return top_k(self.embeddings[candidates], candidates, vector,
+                         k)
+        distances = cosine_distances_to(self.embeddings, vector)
+        if mask is not None:
+            distances = distances[candidates]
+        order = _select(distances, candidates, k)
+        return candidates[order], distances[order]
 
     def query_batch(self, vectors: np.ndarray, k: int = 5,
                     class_id: int | None = None, strict: bool = False,
@@ -264,7 +304,9 @@ class NearestNeighborIndex:
                     np.empty((len(vectors), 0), dtype=np.float64))
         distances = cosine_distance_matrix(vectors,
                                            self.embeddings[candidates])
-        order = np.argsort(distances, axis=1,
-                           kind="stable")[:, :min(k, candidates.size)]
+        order = np.empty((len(vectors), min(k, candidates.size)),
+                         dtype=np.int64)
+        for row, row_distances in enumerate(distances):
+            order[row] = _select(row_distances, candidates, k)
         return (self.ids[candidates[order]],
                 np.take_along_axis(distances, order, axis=1))

@@ -234,8 +234,8 @@ class DeltaOverlay:
     assigned monotonically and never reused.  Deletion preserves the
     relative order of survivors, so keys are order-isomorphic to
     positions in the effective corpus and the ``(distance, key)``
-    lexsort merge reproduces a monolithic rebuild's stable-argsort
-    order exactly.
+    lexsort merge reproduces a monolithic rebuild's ``(distance,
+    position)`` order exactly.
 
     Thread model: one writer (the ingest lock) and any number of
     racing readers.  Every mutation publishes row contents *before*

@@ -73,9 +73,10 @@ def merge_topk(parts, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     ``parts`` is an iterable of pairs of aligned 1-D arrays, one pair
     per answering shard (empty pairs are fine).  The result is sorted
-    by ``(distance, position)`` — the exact total order a monolithic
-    stable argsort over candidate positions produces — and truncated
-    to ``k``.  Returns ``(positions, distances)``.
+    by ``(distance, position)`` — the exact order a monolithic
+    :meth:`~repro.retrieval.index.NearestNeighborIndex.query_positions`
+    returns — and truncated to ``k``.  Returns ``(positions,
+    distances)``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -1,8 +1,10 @@
 """Chaos suite: scripted fault schedules against the resilient service.
 
-Run with ``pytest -m chaos`` (or ``make chaos``); excluded from the
-default tier-1 run.  Every schedule is deterministic — faults fire at
-explicit request ids on a fake clock — so a failing scenario replays
+Run with ``pytest -m chaos`` (or ``make chaos``) for all of it.  Every
+fake-clock case carries ``fakeclock`` and also runs in tier-1; only
+``test_concurrent_queries_never_mix_generations`` (real threads and
+real sleeps) stays opt-in.  Every fake-clock schedule is deterministic
+— faults fire at explicit request ids — so a failing scenario replays
 exactly.
 
 The acceptance scenarios from the issue:
@@ -75,6 +77,7 @@ def assert_results_belong_to_generation(response, corpora, dataset):
 # ----------------------------------------------------------------------
 # (a) embed breaker: degrade while open, recover through half-open
 # ----------------------------------------------------------------------
+@pytest.mark.fakeclock
 class TestEmbedBreakerLifecycle:
     def test_degrades_recovers_via_half_open(self, world):
         engine = fresh_engine(world)
@@ -171,6 +174,7 @@ class TestHotSwapUnderFire:
         assert final.generation == 1
         assert_results_belong_to_generation(final, corpora, dataset)
 
+    @pytest.mark.fakeclock
     def test_swap_mid_query_uses_admission_snapshot(self, world):
         dataset, featurizer = world
         engine = fresh_engine(world)
@@ -197,6 +201,7 @@ class TestHotSwapUnderFire:
         assert after.generation == 1
         assert_results_belong_to_generation(after, corpora, dataset)
 
+    @pytest.mark.fakeclock
     def test_canary_failure_rolls_back_and_service_survives(self, world):
         dataset, featurizer = world
         engine = fresh_engine(world)
@@ -214,6 +219,7 @@ class TestHotSwapUnderFire:
 # ----------------------------------------------------------------------
 # (c) shed / timeout / corruption: structured outcomes, no exceptions
 # ----------------------------------------------------------------------
+@pytest.mark.fakeclock
 class TestStructuredOutcomes:
     def test_slow_embed_blows_deadline_to_timeout(self, world):
         engine = fresh_engine(world)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.retrieval import (NearestNeighborIndex, RetrievalMetrics,
@@ -10,6 +10,7 @@ from repro.retrieval import (NearestNeighborIndex, RetrievalMetrics,
                              cosine_distance, cosine_distance_matrix,
                              evaluate_embeddings, median_rank, normalize_rows,
                              rank_items, ranks_of_matches, recall_at_k)
+from repro.retrieval.distance import cosine_distances_to
 
 
 RNG = lambda seed=0: np.random.default_rng(seed)
@@ -303,6 +304,89 @@ class TestIndexSubsetClone:
         assert dup.embeddings.tobytes() == index.embeddings.tobytes()
         dup.embeddings.fill(np.nan)  # corrupting the clone ...
         assert np.isfinite(index.embeddings).all()  # ... spares the original
+
+
+def _stable_argsort_reference(index, vectors, k, class_id, mask):
+    """The pre-partition rule: gather the candidate rows, then a stable
+    argsort of their distances, first ``k`` kept."""
+    keep = np.ones(len(index), dtype=bool)
+    if class_id is not None:
+        keep &= index.class_ids == class_id
+    if mask is not None:
+        keep &= mask
+    candidates = np.flatnonzero(keep)
+    singles = []
+    for vector in vectors:
+        distances = cosine_distances_to(index.embeddings[candidates], vector)
+        order = np.argsort(distances, kind="stable")[:k]
+        singles.append((candidates[order], distances[order]))
+    batch = cosine_distance_matrix(vectors, index.embeddings[candidates])
+    order = np.argsort(batch, axis=1,
+                       kind="stable")[:, :min(k, candidates.size)]
+    return (singles, candidates[order],
+            np.take_along_axis(batch, order, axis=1))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 40),
+       distinct=st.integers(1, 6), k=st.integers(1, 45),
+       nans=st.sampled_from(["none", "some", "all"]),
+       class_id=st.sampled_from([None, 0, 1, 7]),
+       mask=st.sampled_from(["none", "random", "empty"]))
+# 16 rows of 2 distinct vectors: k = 3 cuts a run of 5 exact ties
+@example(seed=0, n=16, distinct=2, k=3, nans="none", class_id=None,
+         mask="none")
+@example(seed=1, n=12, distinct=3, k=4, nans="some", class_id=None,
+         mask="none")
+@example(seed=2, n=12, distinct=3, k=4, nans="all", class_id=None,
+         mask="random")
+@example(seed=3, n=6, distinct=2, k=9, nans="some", class_id=0,
+         mask="random")
+@example(seed=4, n=10, distinct=2, k=3, nans="none", class_id=7,
+         mask="none")
+@example(seed=5, n=10, distinct=2, k=3, nans="none", class_id=None,
+         mask="empty")
+def test_property_selection_matches_stable_argsort(seed, n, distinct, k,
+                                                   nans, class_id, mask):
+    """Top-k selection reproduces the stable-argsort rule bit for bit —
+    positions, ids and distance bits — through duplicated rows (ties),
+    NaN rows, pools smaller than ``k``, empty pools, class filters and
+    liveness masks."""
+    rng = RNG(seed)
+    base = rng.normal(size=(distinct, 4))
+    embeddings = base[rng.integers(0, distinct, size=n)]
+    if nans == "some":
+        embeddings[rng.random(n) < 0.3] = np.nan
+    elif nans == "all":
+        embeddings[:] = np.nan
+    index = NearestNeighborIndex(
+        embeddings, ids=1000 - 3 * np.arange(n),
+        class_ids=rng.integers(0, 2, size=n))
+    live = {"none": None, "random": rng.random(n) < 0.6,
+            "empty": np.zeros(n, dtype=bool)}[mask]
+    # a stored row as the query puts exact-zero ties at the top
+    vectors = np.stack([base[0], rng.normal(size=4)])
+
+    singles, batch_rows, batch_dist = _stable_argsort_reference(
+        index, vectors, k, class_id, live)
+    for vector, (positions, distances) in zip(vectors, singles):
+        got_positions, got_distances = index.query_positions(
+            vector, k=k, class_id=class_id, mask=live)
+        assert np.array_equal(got_positions, positions)
+        assert _same_bits(got_distances, distances)
+        got_ids, got_distances = index.query(
+            vector, k=k, class_id=class_id, mask=live)
+        assert np.array_equal(got_ids, index.ids[positions])
+        assert _same_bits(got_distances, distances)
+    got_ids, got_distances = index.query_batch(
+        vectors, k=k, class_id=class_id, mask=live)
+    assert np.array_equal(got_ids, index.ids[batch_rows])
+    assert _same_bits(got_distances, batch_dist)
 
 
 @settings(max_examples=20, deadline=None)
