@@ -22,13 +22,15 @@ from repro.core.engine import RecipeSearchEngine
 from repro.data import (ClassTaxonomy, DatasetConfig, DishRenderer,
                         IngredientLexicon, RecipeFeaturizer,
                         generate_dataset)
+from repro.data.encoding import EncodedCorpus
 from repro.nn import BiLSTM, Conv2d, LSTM
 from repro.obs import (AlertManager, BurnRateWindow, GoldenProbe,
                        GoldenSet, MetricsRegistry, QuantileSketch,
                        default_serving_slos)
 from repro.retrieval import RetrievalProtocol
 from repro.retrieval.index import NearestNeighborIndex
-from repro.serving import ResilientSearchService, ServiceConfig
+from repro.serving import (DegradedRanker, ResilientSearchService,
+                           ServiceConfig)
 
 
 RNG = lambda seed=0: np.random.default_rng(seed)
@@ -160,6 +162,67 @@ def test_bench_conv2d_forward(benchmark, bench_record):
     out = benchmark(conv, images)
     assert out.shape == (32, 16, 24, 24)
     bench_record(float(np.abs(out.data).mean()), benchmark)
+
+
+# ----------------------------------------------------------------------
+# Degraded-mode lexical fallback at the scan-50k shape
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def tiled_50k():
+    """240 distinct recipes tiled over a 50k-row corpus — many dish
+    rows per recipe payload, as in ``perfbench``'s ``scan-50k``.  Only
+    the arrays the ranker reads are real; the rest are zero-stride."""
+    dataset = generate_dataset(DatasetConfig(
+        num_pairs=240, num_classes=8, image_size=8, seed=1))
+    rows = RNG(9).integers(0, len(dataset), size=50_000)
+    classes = np.array([r.true_class_id for r in dataset.recipes])[rows]
+
+    def zeros(*shape):
+        return np.broadcast_to(np.zeros(shape[1:]), shape)
+
+    n = len(rows)
+    corpus = EncodedCorpus(
+        ingredient_ids=zeros(n, 1), ingredient_lengths=zeros(n),
+        sentence_vectors=zeros(n, 1, 1), sentence_lengths=zeros(n),
+        images=zeros(n, 3, 1, 1), class_ids=classes,
+        true_class_ids=classes, recipe_indices=rows)
+    return dataset, corpus
+
+
+def _reference_top10(dataset, corpus, names):
+    """The per-row set loop the incidence matrix replaced."""
+    query = {name.lower() for name in names}
+    scores = np.zeros(len(corpus))
+    for row, index in enumerate(corpus.recipe_indices):
+        pool = {name.lower() for name in dataset[int(index)].ingredients}
+        if query and pool:
+            overlap = len(query & pool)
+            if overlap:
+                scores[row] = overlap / len(query | pool)
+    order = np.argsort(-scores, kind="stable")[:10]
+    return order, 1.0 - scores[order]
+
+
+def test_bench_degraded_build_50k(benchmark, bench_record, tiled_50k):
+    """Boot cost of the fallback: one tokenize per distinct recipe."""
+    ranker = benchmark(DegradedRanker, *tiled_50k)
+    assert len(ranker) == 50_000
+    bench_record(float(len(ranker)), benchmark)
+
+
+def test_bench_degraded_rank_ingredients_50k(benchmark, bench_record,
+                                             tiled_50k):
+    """One brownout fridge search: a sparse mat-vec over the distinct
+    recipes, a gather to 50k rows and the shared top-k selection."""
+    dataset, corpus = tiled_50k
+    ranker = DegradedRanker(dataset, corpus)
+    names = list(dataset[0].ingredients[:3]) + ["vibranium"]
+    rows, distances = benchmark(ranker.rank_ingredients, names, 10)
+    want_rows, want_distances = _reference_top10(dataset, corpus, names)
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(distances.view(np.int64),
+                          want_distances.view(np.int64))
+    bench_record(float(distances[0]), benchmark)
 
 
 # ----------------------------------------------------------------------

@@ -297,6 +297,18 @@ class DeltaOverlay:
             return self.base.embeddings[key]
         return self._rows[key - self.offset]
 
+    def live_items(self, n: int) -> np.ndarray:
+        """Boolean mask over item ids ``0..n-1``: ``True`` where the
+        item is live, as a base row or as a delta row.  Before any
+        fold the base ids are the engine corpus's rows, so this is the
+        base liveness mask; after one it still names corpus rows."""
+        mask = np.zeros(n, dtype=bool)
+        slots = self._slots
+        for ids in (self.base.ids[self._base_live],
+                    self._ids[:slots][self._live[:slots]]):
+            mask[ids[(ids >= 0) & (ids < n)]] = True
+        return mask
+
     # -- mutation (single writer) --------------------------------------
     def add(self, item_id: int, row: np.ndarray, class_id: int = -1
             ) -> int | None:

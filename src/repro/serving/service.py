@@ -539,8 +539,8 @@ class ResilientSearchService:
         return self._serve(
             "ingredients", k, class_name, deadline,
             embed=lambda engine: engine.embed_ingredients(ingredients),
-            fallback=lambda ranker, class_id, k: ranker.rank_ingredients(
-                ingredients, k, class_id),
+            fallback=lambda ranker, class_id, k, mask: (
+                ranker.rank_ingredients(ingredients, k, class_id, mask)),
             which_index="image", tenant=tenant, criticality=criticality,
             deadline_source=deadline_source)
 
@@ -555,8 +555,8 @@ class ResilientSearchService:
         return self._serve(
             "recipe", k, class_name, deadline,
             embed=lambda engine: engine.embed_recipe(recipe),
-            fallback=lambda ranker, class_id, k: ranker.rank_recipe(
-                recipe, k, class_id),
+            fallback=lambda ranker, class_id, k, mask: (
+                ranker.rank_recipe(recipe, k, class_id, mask)),
             which_index="image", tenant=tenant, criticality=criticality,
             deadline_source=deadline_source)
 
@@ -576,8 +576,8 @@ class ResilientSearchService:
         return self._serve(
             "image", k, class_name, deadline,
             embed=lambda engine: engine.embed_image(image),
-            fallback=lambda ranker, class_id, k: ranker.rank_default(
-                k, class_id),
+            fallback=lambda ranker, class_id, k, mask: (
+                ranker.rank_default(k, class_id, mask)),
             which_index="recipe", tenant=tenant, criticality=criticality,
             deadline_source=deadline_source)
 
@@ -593,8 +593,8 @@ class ResilientSearchService:
         return self._serve(
             "without", k, class_name, deadline,
             embed=lambda engine: engine.embed_recipe(edited),
-            fallback=lambda ranker, class_id, k: ranker.rank_recipe(
-                edited, k, class_id),
+            fallback=lambda ranker, class_id, k, mask: (
+                ranker.rank_recipe(edited, k, class_id, mask)),
             which_index="image", tenant=tenant, criticality=criticality,
             deadline_source=deadline_source)
 
@@ -881,7 +881,9 @@ class ResilientSearchService:
                         with self._stage_span("degraded", budget):
                             rows, distances = fallback(
                                 generation.fallback, class_id,
-                                k_effective)
+                                k_effective,
+                                self._degraded_mask(generation,
+                                                    which_index))
                         status = "degraded"
                         degraded_reason = str(exc)
                     budget.check("materialize")
@@ -915,6 +917,17 @@ class ResilientSearchService:
             finally:
                 self.admission.release(self._clock() - started)
                 self._m_inflight.set(self.admission.inflight)
+
+    def _degraded_mask(self, generation: EngineGeneration,
+                       which_index: str) -> np.ndarray | None:
+        """Corpus rows the degraded ranker may answer with: all of
+        them without ingest, else only rows whose items are live (a
+        delete is excluded at once; a streamed add is not a corpus row,
+        so the ranker never returns it)."""
+        if self.ingestor is None:
+            return None
+        return self.ingestor.overlays[which_index].live_items(
+            len(generation.fallback))
 
     def _embed_stage(self, generation: EngineGeneration, request_id: int,
                      embed, budget: Deadline,

@@ -4,11 +4,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.data.encoding import EncodedCorpus
+from repro.data.schema import Recipe
 from repro.serving import (AdmissionConfig, CircuitBreaker, CircuitState,
                            Deadline, DeadlineExceeded, DegradedRanker,
-                           ResilientSearchService, RetryPolicy,
-                           ServiceConfig)
+                           IngestConfig, ResilientSearchService,
+                           RetryPolicy, ServiceConfig)
+from repro.serving.cluster import ClusterConfig
+from repro.text import tokenize
 
 from ._serving_util import (FakeClock, known_ingredients, make_engine,
                             make_world)
@@ -196,6 +202,192 @@ class TestDegradedRanker:
     def test_unknown_class_raises(self, ranker):
         with pytest.raises(ValueError):
             ranker.rank_ingredients(["butter"], k=3, class_id=999)
+
+
+def _lexical_corpus(recipe_indices, class_ids) -> EncodedCorpus:
+    """A corpus carrying only what the degraded ranker reads."""
+    n = len(recipe_indices)
+    zeros = np.zeros((n, 1), dtype=np.int64)
+    return EncodedCorpus(
+        ingredient_ids=zeros, ingredient_lengths=zeros[:, 0],
+        sentence_vectors=np.zeros((n, 1, 1)), sentence_lengths=zeros[:, 0],
+        images=np.zeros((n, 3, 1, 1)), class_ids=np.asarray(class_ids),
+        true_class_ids=np.asarray(class_ids),
+        recipe_indices=np.asarray(recipe_indices, dtype=np.int64))
+
+
+def _per_row_reference(dataset, corpus):
+    """The per-row set loop the incidence matrices replaced: one
+    ingredient set and one ingredient ∪ token set per corpus row."""
+    ingredients, tokens = [], []
+    for row in range(len(corpus)):
+        recipe = dataset[int(corpus.recipe_indices[row])]
+        names = {name.lower() for name in recipe.ingredients}
+        words = set(tokenize(recipe.title))
+        for sentence in recipe.instructions:
+            words.update(tokenize(sentence))
+        ingredients.append(names)
+        tokens.append(words | names)
+    return ingredients, tokens
+
+
+def _reference_candidates(class_ids, class_id, mask):
+    rows = (np.arange(len(class_ids)) if class_id is None
+            else np.flatnonzero(class_ids == class_id))
+    if rows.size == 0:
+        raise ValueError(f"no items of class {class_id} in corpus")
+    return rows if mask is None else rows[mask[rows]]
+
+
+def _reference_rank(query, pools, class_ids, k, class_id, mask):
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    rows = _reference_candidates(class_ids, class_id, mask)
+    scores = np.zeros(rows.size)
+    for position, row in enumerate(rows):
+        pool = pools[int(row)]
+        if query and pool:
+            overlap = len(query & pool)
+            if overlap:
+                scores[position] = overlap / len(query | pool)
+    order = np.argsort(-scores, kind="stable")[:k]
+    return rows[order], 1.0 - scores[order]
+
+
+def _reference_default(class_ids, k, class_id, mask):
+    rows = _reference_candidates(class_ids, class_id, mask)[:k]
+    return rows, np.ones(len(rows))
+
+
+def _answer(call):
+    """``(rows, distance bits)``, or the ValueError message."""
+    try:
+        rows, distances = call()
+    except ValueError as exc:
+        return str(exc)
+    return rows.tolist(), distances.view(np.int64).tolist()
+
+
+_NAMES = ["Butter", "butter", "flour", "Olive Oil", "olive oil", "salt",
+          "EGG", "sugar"]
+_recipes = st.builds(
+    lambda title, ingredients, instructions: Recipe(
+        recipe_id=0, title=title, class_id=0, true_class_id=0,
+        ingredients=ingredients, instructions=instructions,
+        image=np.zeros((3, 1, 1))),
+    st.sampled_from(["Butter cake", "salt & pepper EGGS", "",
+                     "Olive-oil flour bread", "Don't burn it"]),
+    st.lists(st.sampled_from(_NAMES), unique=True, max_size=4),
+    st.lists(st.sampled_from(["Mix the flour.", "Add butter, then EGG!",
+                              "Bake 20 min.", "Season with salt.",
+                              "Don't stir the sugar.", ""]),
+             min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(recipes=st.lists(_recipes, min_size=1, max_size=4),
+       rows=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                     min_size=1, max_size=24),
+       kind=st.sampled_from(["ingredients", "recipe", "without",
+                             "default"]),
+       names=st.lists(st.sampled_from(_NAMES + ["BUTTER", "vibranium",
+                                                "olive"]), max_size=4),
+       pick=st.integers(0, 3),
+       k=st.sampled_from([0, 1, 2, 3, "n", "n+"]),
+       class_id=st.sampled_from([None, 0, 1, 2, 9]),
+       mask=st.sampled_from(["none", "random", "empty"]),
+       seed=st.integers(0, 2**16))
+def test_property_degraded_ranker_matches_per_row_sets(
+        recipes, rows, kind, names, pick, k, class_id, mask, seed):
+    """The incidence-matrix ranker answers every query bit for bit as
+    the per-row set loop did — rows shared by one recipe, empty and
+    out-of-vocabulary or mixed-case queries, ties cut by ``k``,
+    ``k`` past the pool, class filters, liveness masks (empty pools
+    included), and the ``k < 1`` and unknown-class errors."""
+    corpus = _lexical_corpus([r % len(recipes) for r, _ in rows],
+                             [c for _, c in rows])
+    n = len(corpus)
+    k = {"n": n, "n+": n + 5}.get(k, k)
+    live = {"none": None, "random": np.random.default_rng(seed).random(n)
+            < 0.6, "empty": np.zeros(n, dtype=bool)}[mask]
+    ranker = DegradedRanker(recipes, corpus)
+    assert len(ranker) == n
+    ingredients, tokens = _per_row_reference(recipes, corpus)
+    class_ids = corpus.true_class_ids
+    recipe = recipes[pick % len(recipes)]
+    if kind == "without" and recipe.ingredients:
+        recipe = recipe.without_ingredient(recipe.ingredients[0])
+    if kind == "ingredients":
+        got = _answer(lambda: ranker.rank_ingredients(names, k, class_id,
+                                                      live))
+        want = _answer(lambda: _reference_rank(
+            {name.lower() for name in names}, ingredients, class_ids, k,
+            class_id, live))
+    elif kind == "default":
+        got = _answer(lambda: ranker.rank_default(k, class_id, live))
+        want = _answer(lambda: _reference_default(class_ids, k, class_id,
+                                                  live))
+    else:
+        query = {name.lower() for name in recipe.ingredients}
+        query.update(tokenize(recipe.title))
+        for sentence in recipe.instructions:
+            query.update(tokenize(sentence))
+        got = _answer(lambda: ranker.rank_recipe(recipe, k, class_id,
+                                                 live))
+        want = _answer(lambda: _reference_rank(
+            query, tokens, class_ids, k, class_id, live))
+    assert got == want
+
+
+class TestDegradedExcludesDeleted:
+    """A degraded answer never names an item the ingest overlay has
+    deleted, on the monolithic and on the sharded index path."""
+
+    @pytest.mark.parametrize("cluster", [
+        None, ClusterConfig(num_shards=2, replication=2)])
+    def test_deleted_row_is_not_served(self, world, tmp_path, cluster):
+        dataset, featurizer = world
+        clock = FakeClock()
+        service = ResilientSearchService(
+            make_engine(dataset, featurizer),
+            ServiceConfig(retry=RetryPolicy(max_attempts=2,
+                                            base_delay=0.01, jitter=0.0),
+                          cluster=cluster),
+            clock=clock, sleep=clock.sleep, rng=random.Random(0),
+            ingest_log=tmp_path / "wal",
+            ingest_config=IngestConfig(compact_at_delta_rows=None))
+
+        def broken(*_):
+            raise RuntimeError("embedder down")
+
+        engine = service._active.engine
+        query = list(engine.dataset[int(
+            engine.corpus.recipe_indices[0])].ingredients)
+        engine.embed_ingredients = broken
+        before = service.search_by_ingredients(query, k=5)
+        assert before.outcome.status == "degraded"
+        served = [r.corpus_row for r in before.results]
+        victim = served[0]
+        assert service.delete(victim).status == "ok"
+
+        after = service.search_by_ingredients(query, k=5)
+        assert after.outcome.status == "degraded"
+        rows = [r.corpus_row for r in after.results]
+        assert victim not in rows
+        assert rows[:4] == served[1:]
+        # The exclusion survives folding the delete into a new base.
+        assert service.compact_ingest().ok
+        service._active.engine.embed_ingredients = broken
+        folded = service.search_by_ingredients(query, k=5)
+        assert folded.outcome.status == "degraded"
+        assert [r.corpus_row for r in folded.results] == rows
+        # Streamed adds are not corpus rows: degraded mode skips them.
+        added = service.ingest(engine.dataset[int(
+            engine.corpus.recipe_indices[0])])
+        assert added.status == "ok"
+        streamed = service.search_by_ingredients(query, k=5)
+        assert added.item_id not in [r.corpus_row
+                                     for r in streamed.results]
 
 
 class TestServiceHappyPath:
