@@ -13,8 +13,9 @@ Production containment around :class:`~repro.core.engine.RecipeSearchEngine`:
 * :mod:`~repro.serving.sharding` — deterministic hash-by-id shard
   placement and bitwise-exact top-k merging;
 * :mod:`~repro.serving.cluster` — the sharded, replicated
-  :class:`~repro.serving.cluster.IndexCluster` with hedged fan-out,
-  failover, anti-entropy repair, and partial results;
+  :class:`~repro.serving.cluster.IndexCluster` with a sequential
+  fan-out on the caller's thread, hedged requests, failover,
+  anti-entropy repair, and partial results;
 * :mod:`~repro.serving.wal` — the crash-safe, checksummed,
   segment-rotated write-ahead delta log;
 * :mod:`~repro.serving.ingest` — streaming adds/deletes over a frozen
@@ -58,7 +59,7 @@ from .retry import CircuitBreaker, CircuitState, RetryPolicy
 from .service import (INGEST_STATUSES, STATUSES, IngestOutcome,
                       RequestOutcome, ResilientSearchService,
                       ServiceConfig, ServiceResponse)
-from .sharding import merge_topk, partition_positions, shard_of, stable_hash64
+from .sharding import merge_topk, partition_positions, stable_hash64
 from .wal import (DeltaLog, LogPosition, LogRecovery, WalCorruption,
                   WalError, WalWriteError)
 
@@ -71,7 +72,7 @@ __all__ = [
     "ServiceConfig", "ServiceResponse",
     "INGEST_STATUSES", "IngestOutcome",
     "ClusterConfig", "ClusterResult", "IndexCluster", "ShardReplica",
-    "stable_hash64", "shard_of", "partition_positions", "merge_topk",
+    "stable_hash64", "partition_positions", "merge_topk",
     "WalError", "WalCorruption", "WalWriteError",
     "DeltaLog", "LogPosition", "LogRecovery",
     "IngestError", "IngestConfig", "IngestOp", "IngestAck",

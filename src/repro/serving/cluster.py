@@ -8,22 +8,27 @@ every request, a corrupted one poisons every answer.
 keeps ``R`` replicas of each shard, and makes the failure modes
 survivable:
 
-* **fan-out + exact merge** — a query runs against every shard
-  concurrently; per-shard top-k lists merge into a global top-k that
-  is *bitwise identical* to the monolithic index when no faults are
-  active (shard rows are verbatim copies, the query kernel is
-  shape-stable, and the merge reproduces the monolith's tie order);
+* **fan-out + exact merge** — a query runs against every shard in
+  turn, on the caller's thread; per-shard top-k lists merge into a
+  global top-k that is *bitwise identical* to the monolithic index
+  when no faults are active (shard rows are verbatim copies, the
+  query kernel is shape-stable, and the merge reproduces the
+  monolith's tie order);
 * **failover** — each replica sits behind its own
   :class:`~repro.serving.retry.CircuitBreaker`; dead, tripped, or
   corrupted replicas are skipped and the next live sibling answers;
 * **hedged requests** — once a replica has a latency history, a
   backup replica is fired when the primary exceeds its recent latency
   quantile, cutting the tail a single slow replica would otherwise
-  impose on every fan-out;
+  impose on every fan-out.  Only an armed hedge starts threads: the
+  primary and backup lanes race, and the caller waits for the first
+  answer;
 * **deadline carving** — the caller's
-  :class:`~repro.serving.deadline.Deadline` budget bounds every shard;
-  a shard that cannot answer inside its carve is dropped rather than
-  dragging the whole request into a timeout;
+  :class:`~repro.serving.deadline.Deadline` budget bounds the
+  fan-out: it is checked before and after every replica attempt, and
+  shards that cannot answer inside the carve are dropped rather than
+  dragging the whole request into a timeout.  An unhedged attempt runs
+  to completion, so a stuck shard costs its own run time;
 * **partial results** — a lost shard degrades the answer, not the
   request: the merged result reports ``shards_answered`` /
   ``shards_total`` and the caller decides what "partial" means
@@ -40,8 +45,8 @@ survivable:
 Everything observable lands in :mod:`repro.obs`: per-shard latency
 histograms, per-replica state gauges, hedge / failover / rebuild /
 partial counters.  The clock is injectable; hedging uses real
-concurrency (lane threads racing on events) and is exercised by the
-chaos suite with real injected delays.
+concurrency (lane threads racing on a condition) and is exercised by
+the chaos suite with real injected delays.
 """
 
 from __future__ import annotations
@@ -77,10 +82,26 @@ REPLICA_STATE_VALUES = {CircuitState.CLOSED: 0,
                         CircuitState.OPEN: 2}
 REPLICA_DEAD = 3
 
-#: Slice of the request deadline each shard may spend before it is
-#: dropped from the merge (the carve is shared — shards run
-#: concurrently against the same remaining budget).
+#: Slice of the request deadline the fan-out may spend; shards run in
+#: turn against this one carve, and those left when it is gone are
+#: dropped from the merge.
 _SHARD_BUDGET_FRACTION = 0.95
+
+#: Hedging: once a primary replica holds ``_HEDGE_WARMUP`` latency
+#: samples (of its last ``_LATENCY_WINDOW``), the backup replica fires
+#: after ``_HEDGE_FACTOR`` times its ``_HEDGE_QUANTILE`` latency, and
+#: never sooner than ``_HEDGE_MIN_WAIT`` seconds.
+_HEDGE_QUANTILE = 0.9
+_HEDGE_FACTOR = 2.0
+_HEDGE_MIN_WAIT = 0.001
+_HEDGE_WARMUP = 8
+_LATENCY_WINDOW = 128
+
+#: Per-replica breaker: open after this many failures in a row, stay
+#: open this many seconds, close after this many half-open successes.
+_BREAKER_FAILURE_THRESHOLD = 2
+_BREAKER_RESET_AFTER = 30.0
+_BREAKER_HALF_OPEN_SUCCESSES = 1
 
 
 class _ReplicaDown(RuntimeError):
@@ -89,28 +110,11 @@ class _ReplicaDown(RuntimeError):
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Topology and robustness knobs for one :class:`IndexCluster`."""
+    """Topology of one :class:`IndexCluster`, and whether it hedges."""
 
     num_shards: int = 3
     replication: int = 2
-    #: Fan shards out on threads; ``False`` degrades to a sequential
-    #: loop (deterministic, but no hedging and no tail isolation).
-    parallel: bool = True
     hedge_enabled: bool = True
-    #: The primary's recent latency quantile that arms the hedge ...
-    hedge_quantile: float = 0.9
-    #: ... scaled by this factor to form the wait before the backup
-    #: replica is fired.
-    hedge_factor: float = 2.0
-    hedge_min_wait: float = 0.001      # seconds; floor for the wait
-    hedge_warmup: int = 8              # samples needed before hedging
-    latency_window: int = 128          # per-replica latency history
-    breaker_failure_threshold: int = 2
-    breaker_reset_after: float = 30.0  # seconds open before half-open
-    breaker_half_open_successes: int = 1
-    #: Run an anti-entropy pass after every query (the check is
-    #: O(replicas) flag reads when the cluster is healthy).
-    auto_anti_entropy: bool = True
 
 
 @dataclass(frozen=True)
@@ -149,15 +153,14 @@ class ShardReplica:
     """One replica: an index copy, a breaker, and a latency history."""
 
     def __init__(self, shard_id: int, replica_id: int,
-                 index: NearestNeighborIndex, breaker: CircuitBreaker,
-                 latency_window: int):
+                 index: NearestNeighborIndex, breaker: CircuitBreaker):
         self.shard_id = shard_id
         self.replica_id = replica_id
         self.index = index
         self.breaker = breaker
         self.alive = True
         self._lock = threading.Lock()
-        self._latencies: deque[float] = deque(maxlen=latency_window)
+        self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
 
     def available(self) -> bool:
         """May this replica serve an attempt right now?"""
@@ -203,7 +206,7 @@ class _Shard:
 
 
 class _QueryStats:
-    """Per-query hedge/failover tally, shared across lane threads."""
+    """Per-query hedge/failover tally, shared with hedge lanes."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -220,7 +223,7 @@ class _QueryStats:
 
 
 class _OneShot:
-    """First-success holder coordinating a shard's racing lanes.
+    """First-success holder coordinating a hedged shard's racing lanes.
 
     ``wait`` returns once a result lands *or* every expected lane has
     finished empty-handed — so a coordinator neither busy-waits nor
@@ -276,7 +279,7 @@ class IndexCluster:
         are copied verbatim into shard replicas; the source object is
         not retained.
     config:
-        Topology and robustness knobs.
+        Topology and the hedging switch.
     name:
         Label for this cluster's metric series (a service runs two:
         ``image`` and ``recipe``).
@@ -338,15 +341,14 @@ class IndexCluster:
             for replica_id in range(config.replication):
                 breaker = CircuitBreaker(
                     f"{self.name}-s{shard_id}r{replica_id}",
-                    config.breaker_failure_threshold,
-                    config.breaker_reset_after,
-                    config.breaker_half_open_successes, clock=clock,
+                    _BREAKER_FAILURE_THRESHOLD, _BREAKER_RESET_AFTER,
+                    _BREAKER_HALF_OPEN_SUCCESSES, clock=clock,
                     on_transition=self._replica_transition(
                         shard_id, replica_id))
                 replicas.append(ShardReplica(
                     shard_id, replica_id,
                     primary if replica_id == 0 else primary.clone(),
-                    breaker, config.latency_window))
+                    breaker))
                 self._m_replica_state.labels(
                     cluster=self.name, shard=shard_id,
                     replica=replica_id).set(0)
@@ -435,7 +437,7 @@ class IndexCluster:
         whole-shard-lost scenario partial results exist for).
         """
         rebuilt = 0
-        # Every query may run a pass; two must not rebuild one replica.
+        # Every query runs a pass; two must not rebuild one replica.
         with self._topology_lock:
             for shard in self.shards:
                 broken = [rep for rep in shard.replicas
@@ -604,55 +606,33 @@ class IndexCluster:
         ``None`` defers to ``ClusterConfig.hedge_enabled``; ``True``
         cannot force hedging past a config that disabled it.
         """
+        live = self._live        # snapshot before reading other arrays
+        # A caller error is no query: it neither counts nor moves the
+        # query-id-keyed fault schedules.
+        self._validate(live, k, class_id, strict)
         with self._stats_lock:
             query_id = self._next_query_id
             self._next_query_id += 1
             self._queries += 1
         if self._faults is not None:
             self._faults.on_cluster_query(query_id, self)
-        live = self._live        # snapshot before reading other arrays
-        self._validate(live, k, class_id, strict)
         # An already-blown request budget means every shard answer
         # would have to be discarded — skip the fan-out entirely.
         expired = deadline is not None and deadline.expired
         shard_budget = (None if deadline is None else
                         deadline.sub(_SHARD_BUDGET_FRACTION))
         stats = _QueryStats()
-        outcomes: list[tuple[np.ndarray, np.ndarray] | None] = (
-            [None] * len(self.shards))
-
         tracer = self.telemetry.tracer
-        ctx = tracer.capture()
-
-        def run(slot: int, shard: _Shard) -> None:
-            # Worker threads adopt the submitting thread's context so
-            # every per-shard span lands in the request's trace.
-            with tracer.attach(ctx), \
-                    tracer.span("shard_query", cluster=self.name,
-                                shard=shard.shard_id) as span:
-                outcomes[slot] = self._query_shard(
+        answered = []
+        for shard in [] if expired else self.shards:
+            with tracer.span("shard_query", cluster=self.name,
+                             shard=shard.shard_id) as span:
+                outcome = self._query_shard(
                     shard, vector, k, class_id, live[shard.positions],
                     shard_budget, query_id, stats, hedge=hedge)
-                span.set_attribute(
-                    "answered", outcomes[slot] is not None)
-
-        if expired:
-            pass
-        elif self._config.parallel and len(self.shards) > 1:
-            workers = [threading.Thread(target=run, args=(i, shard),
-                                        daemon=True,
-                                        name=f"shard-{self.name}"
-                                             f"-{shard.shard_id}")
-                       for i, shard in enumerate(self.shards)]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join()
-        else:
-            for i, shard in enumerate(self.shards):
-                run(i, shard)
-
-        answered = [out for out in outcomes if out is not None]
+                span.set_attribute("answered", outcome is not None)
+            if outcome is not None:
+                answered.append(outcome)
         # One scan of the live streamed rows, merged as one more part
         # (skipped, like the shards, once the budget is gone).
         selector = live[self._sealed:] & (not expired)
@@ -667,8 +647,7 @@ class IndexCluster:
             shards_answered=len(answered),
             hedges=stats.hedges, failovers=stats.failovers)
         self._account(result, stats)
-        if self._config.auto_anti_entropy:
-            self.anti_entropy()
+        self.anti_entropy()
         return result
 
     def _account(self, result: ClusterResult,
@@ -692,13 +671,14 @@ class IndexCluster:
                 result.margin)
 
     # ------------------------------------------------------------------
-    # Per-shard execution: lanes, hedging, failover
+    # Per-shard execution: failover, hedging
     # ------------------------------------------------------------------
     def _query_shard(self, shard: _Shard, vector, k: int,
                      class_id: int | None, mask: np.ndarray,
                      budget: Deadline | None, query_id: int,
                      stats: _QueryStats, hedge: bool | None = None):
-        """Masked failover chain, optionally raced by a hedge lane."""
+        """Masked failover chain, run on the calling thread unless a
+        hedge is armed; then the chain and the backup race on lanes."""
         hedge = (self._config.hedge_enabled if hedge is None
                  else bool(hedge) and self._config.hedge_enabled)
         ordered = [rep for rep in shard.replicas if rep.available()]
@@ -709,93 +689,84 @@ class IndexCluster:
                                      shard=shard.shard_id).inc(skipped)
         if not ordered:
             return None
-        holder = _OneShot()
 
-        def lane(chain: list[ShardReplica]) -> None:
-            try:
-                for rep in chain:
-                    if holder.result is not None:
-                        return
-                    if budget is not None and budget.expired:
-                        return
-                    try:
-                        answer = self._attempt(
-                            shard, rep, query_id, budget,
-                            lambda: rep.index.query(
-                                vector, k=k, class_id=class_id,
-                                mask=mask))
-                    except _ReplicaDown:
-                        stats.failover()
-                        self._m_failovers.labels(
-                            cluster=self.name,
-                            shard=shard.shard_id).inc()
-                        continue
-                    if budget is not None and budget.expired:
-                        # Finished after the shard's carve: the merge
-                        # has moved on; drop the late answer.
-                        return
-                    holder.offer(answer)
-                    return
-            finally:
-                holder.lane_done()
-
-        parallel = self._config.parallel
-        if not parallel:
-            holder.expect_lane()
-            lane(ordered)
-            return holder.result
+        def lane(chain: list[ShardReplica], holder: _OneShot | None = None):
+            """The first answer from ``chain`` inside the carve, or
+            ``None`` (also once a racing lane has won)."""
+            for rep in chain:
+                if holder is not None and holder.result is not None:
+                    return None
+                if budget is not None and budget.expired:
+                    return None
+                try:
+                    answer = self._attempt(
+                        shard, rep, query_id, budget,
+                        lambda: rep.index.query(
+                            vector, k=k, class_id=class_id, mask=mask))
+                except _ReplicaDown:
+                    stats.failover()
+                    self._m_failovers.labels(
+                        cluster=self.name, shard=shard.shard_id).inc()
+                    continue
+                if budget is not None and budget.expired:
+                    return None   # landed after the carve: dropped
+                return answer
+            return None
 
         hedge_wait = (self._hedge_wait(ordered[0])
                       if hedge and len(ordered) > 1 else None)
+        if hedge_wait is None:
+            return lane(ordered)
+        holder = _OneShot()
+
+        def race(chain: list[ShardReplica]) -> None:
+            try:
+                answer = lane(chain, holder)
+                if answer is not None:
+                    holder.offer(answer)
+            finally:
+                holder.lane_done()
+
         holder.expect_lane()
-        primary = threading.Thread(target=lane, args=(ordered,),
-                                   daemon=True,
-                                   name=f"shard-{self.name}"
-                                        f"-{shard.shard_id}")
-        primary.start()
-        if hedge_wait is not None:
-            if budget is not None:
-                hedge_wait = min(hedge_wait,
-                                 max(budget.remaining(), 0.0))
-            if not holder.wait(hedge_wait) and not holder.settled():
-                stats.hedge()
-                self._m_hedges.labels(cluster=self.name,
-                                      shard=shard.shard_id).inc()
-                holder.expect_lane()
-                tracer = self.telemetry.tracer
-                ctx = tracer.capture()
+        threading.Thread(target=race, args=(ordered,), daemon=True,
+                         name=f"shard-{self.name}-{shard.shard_id}").start()
+        if budget is not None:
+            hedge_wait = min(hedge_wait, max(budget.remaining(), 0.0))
+        if not holder.wait(hedge_wait) and not holder.settled():
+            stats.hedge()
+            self._m_hedges.labels(cluster=self.name,
+                                  shard=shard.shard_id).inc()
+            holder.expect_lane()
+            tracer = self.telemetry.tracer
+            ctx = tracer.capture()
 
-                def hedge_lane() -> None:
-                    # The backup lane is its own span inside the
-                    # shard_query: when the hedge wins, the critical
-                    # path shows it; when it loses, the span closes
-                    # late and still joins the trace by parent id.
-                    with tracer.attach(ctx), \
-                            tracer.span("hedge", cluster=self.name,
-                                        shard=shard.shard_id,
-                                        replica=ordered[1].replica_id):
-                        lane([ordered[1]])
+            def hedge_lane() -> None:
+                # The backup lane is its own span inside the
+                # shard_query: when the hedge wins, the critical path
+                # shows it; when it loses, the span closes late and
+                # still joins the trace by parent id.
+                with tracer.attach(ctx), \
+                        tracer.span("hedge", cluster=self.name,
+                                    shard=shard.shard_id,
+                                    replica=ordered[1].replica_id):
+                    race([ordered[1]])
 
-                backup = threading.Thread(target=hedge_lane,
-                                          daemon=True,
-                                          name=f"hedge-{self.name}"
-                                               f"-{shard.shard_id}")
-                backup.start()
-        timeout = (None if budget is None
-                   else max(budget.remaining(), 0.0))
-        holder.wait(timeout)
+            threading.Thread(target=hedge_lane, daemon=True,
+                             name=f"hedge-{self.name}"
+                                  f"-{shard.shard_id}").start()
+        holder.wait(None if budget is None
+                    else max(budget.remaining(), 0.0))
         return holder.result
 
     def _hedge_wait(self, primary: ShardReplica) -> float | None:
         """How long to give the primary before firing the backup, or
         ``None`` while its latency history is too thin to judge."""
         snapshot = primary.latency_snapshot()
-        if len(snapshot) < self._config.hedge_warmup:
+        if len(snapshot) < _HEDGE_WARMUP:
             return None
         quantile = float(np.quantile(np.asarray(snapshot),
-                                     self._config.hedge_quantile))
-        return max(quantile * self._config.hedge_factor,
-                   self._config.hedge_min_wait)
+                                     _HEDGE_QUANTILE))
+        return max(quantile * _HEDGE_FACTOR, _HEDGE_MIN_WAIT)
 
     def _attempt(self, shard: _Shard, rep: ShardReplica,
                  query_id: int, budget: Deadline | None, call):
@@ -817,7 +788,7 @@ class IndexCluster:
         started = self._clock()
         try:
             # A corrupted replica must surface as a failover, not as
-            # FP warnings escaping from a lane thread.
+            # FP warnings escaping from the query.
             with np.errstate(all="ignore"):
                 positions, distances = call()
         except Exception as exc:

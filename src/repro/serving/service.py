@@ -24,8 +24,9 @@ production deployment needs:
   ``degraded=True``;
 * **sharded fan-out** — configured with a ``cluster``, each
   generation's indexes are served by an
-  :class:`~repro.serving.cluster.IndexCluster` (replicated shards,
-  hedged requests, failover, anti-entropy); a fan-out that loses
+  :class:`~repro.serving.cluster.IndexCluster` (replicated shards
+  answering in turn on the request thread, hedged requests,
+  failover, anti-entropy); a fan-out that loses
   shards degrades to a ``partial`` outcome carrying
   ``shards_answered``/``shards_total`` instead of failing;
 * **hot-swap** — :meth:`ResilientSearchService.swap_corpus` builds a

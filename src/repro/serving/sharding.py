@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stable_hash64", "shard_of", "partition_positions",
-           "merge_topk"]
+__all__ = ["stable_hash64", "partition_positions", "merge_topk"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -40,14 +39,6 @@ def stable_hash64(ids) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
-
-
-def shard_of(item_id: int, num_shards: int) -> int:
-    """Deterministic shard for one item id."""
-    if num_shards < 1:
-        raise ValueError("num_shards must be >= 1")
-    return int(stable_hash64(np.array([item_id]))[0]
-               % np.uint64(num_shards))
 
 
 def partition_positions(ids: np.ndarray,

@@ -14,6 +14,7 @@ from ._serving_util import (FakeClock, known_ingredients, make_engine,
                             make_world)
 from repro.obs import Telemetry, last_metrics_snapshot
 from repro.retrieval.index import NearestNeighborIndex
+from repro.robustness.faults import ReplicaCrash
 from repro.serving import IngestConfig, ResilientSearchService, ServiceConfig
 from repro.serving.cluster import (REPLICA_DEAD, ClusterConfig,
                                    IndexCluster)
@@ -71,6 +72,26 @@ class TestClusterQueries:
         with pytest.raises(ValueError, match="k must be"):
             cluster.query(rng.normal(size=12), k=0)
 
+    def test_invalid_query_is_not_counted(self):
+        # A caller error is validated before the query is counted, so
+        # it neither shows in describe() nor moves query-id schedules.
+        index, rng = small_index()
+        fault = ReplicaCrash({0: [(0, 0)]})
+        cluster = IndexCluster(index, ClusterConfig(num_shards=2),
+                               faults=fault)
+        with pytest.raises(ValueError, match="k must be"):
+            cluster.query(rng.normal(size=12), k=0)
+        with pytest.raises(ValueError, match="candidate pool"):
+            cluster.query(rng.normal(size=12), k=999, strict=True)
+        assert cluster.describe()["queries"] == 0
+        assert fault.fired == []
+        cluster.query(rng.normal(size=12), k=3)
+        assert cluster.describe()["queries"] == 1
+        assert fault.fired == [(0, 0, 0)]
+        counter = cluster.telemetry.registry.get("cluster_queries_total")
+        assert counter.labels(cluster=cluster.name,
+                              outcome="ok").value == 1
+
     def test_expired_deadline_drops_all_shards(self):
         clock = FakeClock()
         index, rng = small_index()
@@ -88,8 +109,7 @@ class TestFailoverAndRepair:
     def test_failover_keeps_bits_identical(self):
         index, rng = small_index()
         cluster = IndexCluster(
-            index, ClusterConfig(num_shards=3, replication=2,
-                                 auto_anti_entropy=False))
+            index, ClusterConfig(num_shards=3, replication=2))
         for shard in range(3):
             cluster.crash_replica(shard, 0)
         vector = rng.normal(size=12)
@@ -103,8 +123,7 @@ class TestFailoverAndRepair:
     def test_corrupted_replica_fails_over(self):
         index, rng = small_index()
         cluster = IndexCluster(
-            index, ClusterConfig(num_shards=2, replication=2,
-                                 auto_anti_entropy=False))
+            index, ClusterConfig(num_shards=2, replication=2))
         cluster.replica(0, 0).index.embeddings.fill(np.nan)
         vector = rng.normal(size=12)
         ids, _ = index.query(vector, k=5)
@@ -115,8 +134,7 @@ class TestFailoverAndRepair:
     def test_anti_entropy_rebuilds_from_sibling(self):
         index, rng = small_index()
         cluster = IndexCluster(
-            index, ClusterConfig(num_shards=3, replication=2,
-                                 auto_anti_entropy=False))
+            index, ClusterConfig(num_shards=3, replication=2))
         for shard in range(3):
             cluster.crash_replica(shard, 0)
         assert cluster.live_replica_count() == 3
@@ -169,8 +187,7 @@ class TestFailoverAndRepair:
     def test_replica_state_gauge_tracks_death_and_repair(self):
         index, _ = small_index()
         cluster = IndexCluster(
-            index, ClusterConfig(num_shards=2, replication=2,
-                                 auto_anti_entropy=False))
+            index, ClusterConfig(num_shards=2, replication=2))
         child = cluster._m_replica_state.labels(
             cluster=cluster.name, shard=0, replica=0)
         assert child.value == 0

@@ -135,8 +135,7 @@ class TestShardLoss:
         service = ResilientSearchService(
             make_engine(dataset, featurizer),
             ServiceConfig(cluster=ClusterConfig(num_shards=3,
-                                                replication=2,
-                                                parallel=False)),
+                                                replication=2)),
             clock=clock, sleep=clock.sleep, cluster_faults=fault)
         ingredients = known_ingredients(service._active.engine, 2)
         assert service.search_by_ingredients(ingredients, k=5).ok
@@ -167,9 +166,7 @@ class TestHedgingTailLatency:
         cluster = IndexCluster(
             index,
             ClusterConfig(num_shards=2, replication=2,
-                          hedge_enabled=hedge_enabled,
-                          hedge_quantile=0.5, hedge_factor=2.0,
-                          hedge_min_wait=0.002, hedge_warmup=5),
+                          hedge_enabled=hedge_enabled),
             faults=fault)
         vector = rng.normal(size=12)
         expected_ids, _ = index.query(vector, k=5)

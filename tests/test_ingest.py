@@ -392,8 +392,7 @@ def test_overlay_matches_monolithic_rebuild(seed, num_ops, class_query,
                                 ids=np.arange(30),
                                 class_ids=rng.integers(0, 3, 30))
     overlay = DeltaOverlay(base)
-    config = ClusterConfig(num_shards=shards, replication=replicas,
-                           parallel=False)
+    config = ClusterConfig(num_shards=shards, replication=replicas)
     mirrored = IndexCluster(base, config)
     effective = [(i, base.embeddings[i], int(base.class_ids[i]))
                  for i in range(30)]
@@ -647,8 +646,7 @@ class TestClusterDeltas:
             class_ids=RNG(seed + 1).integers(0, 3, n))
         overlay = DeltaOverlay(base)
         cluster = IndexCluster(base, ClusterConfig(num_shards=shards,
-                                                   replication=2,
-                                                   parallel=False))
+                                                   replication=2))
         return base, overlay, cluster
 
     def _mirror(self, overlay, cluster, op, *args):

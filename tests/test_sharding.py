@@ -6,6 +6,8 @@ bitwise identical to the monolithic index — the contract that makes
 sharding an operational choice, not a quality trade-off.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,19 +16,13 @@ from hypothesis import strategies as st
 from repro.retrieval.index import NearestNeighborIndex
 from repro.serving.cluster import ClusterConfig, IndexCluster
 from repro.serving.sharding import (merge_topk, partition_positions,
-                                    shard_of, stable_hash64)
+                                    stable_hash64)
 
 
 class TestStableHash:
     def test_deterministic_across_calls(self):
         ids = np.arange(1000)
         assert np.array_equal(stable_hash64(ids), stable_hash64(ids))
-
-    def test_matches_scalar_path(self):
-        ids = np.array([0, 1, 7, 12345, 2**40])
-        for item in ids:
-            assert (shard_of(int(item), 7)
-                    == int(stable_hash64(ids[ids == item])[0] % 7))
 
     def test_well_mixed(self):
         # Consecutive ids must not land on consecutive shards — the
@@ -37,7 +33,7 @@ class TestStableHash:
 
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError, match="num_shards"):
-            shard_of(1, 0)
+            partition_positions(np.arange(10), 0)
 
 
 class TestPartition:
@@ -131,15 +127,30 @@ def test_cluster_bitwise_identical_to_monolith(num_shards, replication,
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=2, max_value=6),
+       st.booleans(),
+       st.integers(min_value=1, max_value=8),
        st.integers(min_value=0, max_value=10_000))
-def test_sequential_cluster_matches_parallel(num_shards, seed):
-    """parallel=False is a pure escape hatch — same bits, no threads."""
+def test_unhedged_fanout_starts_no_thread(num_shards, hedge_enabled,
+                                          queries, seed):
+    """With hedging off, or on but short of the 8-sample warm-up, every
+    shard answers on the caller's thread, bit for bit the monolith."""
     index, rng = _cluster_world(40, seed)
-    vector = rng.normal(size=12)
-    par = IndexCluster(index, ClusterConfig(num_shards=num_shards))
-    seq = IndexCluster(index, ClusterConfig(num_shards=num_shards,
-                                            parallel=False))
-    a = par.query(vector, k=6)
-    b = seq.query(vector, k=6)
-    assert np.array_equal(a.ids, b.ids)
-    assert a.distances.tobytes() == b.distances.tobytes()
+    cluster = IndexCluster(index, ClusterConfig(
+        num_shards=num_shards, replication=2,
+        hedge_enabled=hedge_enabled))
+    starts = []
+    original_start = threading.Thread.start
+
+    def counting_start(thread):
+        starts.append(thread.name)
+        original_start(thread)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threading.Thread, "start", counting_start)
+        for _ in range(queries):
+            vector = rng.normal(size=12)
+            ids, distances = index.query(vector, k=6)
+            result = cluster.query(vector, k=6)
+            assert np.array_equal(ids, result.ids)
+            assert distances.tobytes() == result.distances.tobytes()
+    assert starts == []

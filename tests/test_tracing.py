@@ -479,8 +479,7 @@ class TestServiceWholePath:
                           delay=0.5, sleep=clock.sleep)
         service, __ = make_service(
             world, clock=clock, faults=fault,
-            cluster=ClusterConfig(num_shards=2, replication=1,
-                                  parallel=False))
+            cluster=ClusterConfig(num_shards=2, replication=1))
         ingredients = known_ingredients(service._active.engine, 2)
         response = service.search_by_ingredients(ingredients, k=3)
         assert response.ok
@@ -640,9 +639,7 @@ class TestHedgeAcceptance:
             ServiceConfig(
                 deadline=2.0, admission=AdmissionConfig(),
                 cluster=ClusterConfig(
-                    num_shards=2, replication=2, hedge_enabled=True,
-                    hedge_quantile=0.5, hedge_factor=2.0,
-                    hedge_min_wait=0.002, hedge_warmup=5)),
+                    num_shards=2, replication=2, hedge_enabled=True)),
             rng=random.Random(0), cluster_faults=fault)
         ingredients = known_ingredients(service._active.engine, 2)
         for __ in range(self.WARMUP):
