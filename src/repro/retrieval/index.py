@@ -113,7 +113,7 @@ class NearestNeighborIndex:
         return len(self.embeddings)
 
     # ------------------------------------------------------------------
-    # Derived indexes (sharding / replica repair)
+    # Derived indexes (sharding, base folds)
     # ------------------------------------------------------------------
     def subset(self, positions: np.ndarray,
                relabel: np.ndarray | None = None) -> "NearestNeighborIndex":
@@ -138,15 +138,6 @@ class NearestNeighborIndex:
         dup.class_ids = (None if self.class_ids is None
                          else self.class_ids[positions].copy())
         return dup
-
-    def clone(self) -> "NearestNeighborIndex":
-        """Deep copy with embeddings copied verbatim (no re-normalize).
-
-        Used by cluster anti-entropy to rebuild a dead or corrupted
-        replica from a healthy sibling without disturbing a single bit
-        of the surviving data.
-        """
-        return self.subset(np.arange(len(self.embeddings)))
 
     def append_rows(self, rows: np.ndarray, ids: np.ndarray,
                     class_ids: np.ndarray | None = None

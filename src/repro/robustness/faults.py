@@ -261,7 +261,8 @@ class IndexCorruptionFault(ServingFault):
 
     The damage is persistent — exactly what a bad memory page or a
     botched refresh looks like — so recovery requires a hot-swap, not
-    a retry.
+    a retry.  A cluster has each distinct sealed shard index filled
+    once, which takes down every replica: they share it.
     """
 
     def __init__(self, requests: Iterable[int]):
@@ -270,7 +271,11 @@ class IndexCorruptionFault(ServingFault):
 
     def on_index_start(self, request_id: int, index) -> None:
         if request_id in self.requests:
-            index.embeddings.fill(np.nan)
+            shards = getattr(index, "shards", None)
+            for target in ([index] if shards is None else
+                           {rep.index for shard in shards
+                            for rep in shard.replicas}):
+                target.embeddings.fill(np.nan)
             self.fired.append(request_id)
 
 

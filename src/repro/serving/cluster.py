@@ -33,9 +33,9 @@ survivable:
   request: the merged result reports ``shards_answered`` /
   ``shards_total`` and the caller decides what "partial" means
   (the resilient service maps it to a ``partial`` outcome);
-* **anti-entropy** — a background pass rebuilds dead or tripped
-  replicas from a healthy sibling (verbatim copy, preserving the
-  bitwise contract) and resets their breakers;
+* **anti-entropy** — after every query, dead or tripped replicas are
+  re-pointed at the sealed index a healthy sibling shares with them
+  (nothing is copied) and their breakers reset;
 * **streamed writes** — replicas never change after build: a delete
   clears a bit of one liveness mask every shard query applies, and an
   add lands in one delta segment each query scans and merges.
@@ -150,7 +150,7 @@ class ClusterResult:
 
 
 class ShardReplica:
-    """One replica: an index copy, a breaker, and a latency history."""
+    """Health of one replica over its shard's shared sealed index."""
 
     def __init__(self, shard_id: int, replica_id: int,
                  index: NearestNeighborIndex, breaker: CircuitBreaker):
@@ -186,8 +186,8 @@ class ShardReplica:
         self.alive = False
 
     def revive(self, index: NearestNeighborIndex) -> None:
-        """Anti-entropy repair: fresh data, clean breaker, no stale
-        latency history."""
+        """Anti-entropy repair: a healthy sibling's index, a clean
+        breaker, no stale latency history."""
         self.index = index
         self.alive = True
         with self._lock:
@@ -276,8 +276,8 @@ class IndexCluster:
     ----------
     index:
         The monolithic source index.  Its (already normalized) rows
-        are copied verbatim into shard replicas; the source object is
-        not retained.
+        are copied verbatim into one sealed index per shard, shared by
+        its replicas; the source object is not retained.
     config:
         Topology and the hedging switch.
     name:
@@ -335,8 +335,9 @@ class IndexCluster:
                 partition_positions(self._ids, config.num_shards)):
             # Shard items are relabeled with their *global row
             # positions*: the merge tie-breaks and maps back through
-            # them, which is what makes the fan-out bit-exact.
-            primary = index.subset(positions, relabel=positions)
+            # them, which is what makes the fan-out bit-exact.  Those
+            # ids are the shard's positions; its replicas share the index.
+            sealed = index.subset(positions, relabel=positions)
             replicas = []
             for replica_id in range(config.replication):
                 breaker = CircuitBreaker(
@@ -345,14 +346,12 @@ class IndexCluster:
                     _BREAKER_HALF_OPEN_SUCCESSES, clock=clock,
                     on_transition=self._replica_transition(
                         shard_id, replica_id))
-                replicas.append(ShardReplica(
-                    shard_id, replica_id,
-                    primary if replica_id == 0 else primary.clone(),
-                    breaker))
+                replicas.append(ShardReplica(shard_id, replica_id,
+                                             sealed, breaker))
                 self._m_replica_state.labels(
                     cluster=self.name, shard=shard_id,
                     replica=replica_id).set(0)
-            self.shards.append(_Shard(shard_id, positions, replicas))
+            self.shards.append(_Shard(shard_id, sealed.ids, replicas))
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -384,7 +383,7 @@ class IndexCluster:
             labels=("cluster", "shard"))
         self._m_rebuilds = registry.counter(
             "cluster_anti_entropy_rebuilds_total",
-            "replicas rebuilt from a healthy sibling",
+            "replicas re-pointed at a healthy sibling's index",
             labels=("cluster", "shard"))
         self._m_partials = registry.counter(
             "cluster_partial_results_total",
@@ -430,7 +429,7 @@ class IndexCluster:
                    for rep in shard.replicas if rep.alive)
 
     def anti_entropy(self) -> int:
-        """Rebuild dead/tripped replicas from healthy siblings.
+        """Re-point dead/tripped replicas at a healthy sibling's index.
 
         Returns the number of replicas rebuilt.  A shard with no
         healthy, finite donor is left as-is (that is exactly the
@@ -454,7 +453,7 @@ class IndexCluster:
                 if donor is None:
                     continue
                 for rep in broken:
-                    rep.revive(donor.index.clone())
+                    rep.revive(donor.index)
                     rebuilt += 1
                     self._m_rebuilds.labels(cluster=self.name,
                                             shard=shard.shard_id).inc()
@@ -522,16 +521,15 @@ class IndexCluster:
         return int(np.count_nonzero(self._live))
 
     def retained_bytes(self) -> int:
-        """Bytes held by every replica's index arrays plus the
-        cluster's own positions, ids, classes, liveness mask and delta
-        segment."""
-        replicas = [rep.index for shard in self.shards
-                    for rep in shard.replicas]
-        return ndarray_bytes(
-            *(array for index in replicas
-              for array in (index.embeddings, index.ids, index.class_ids)),
-            *(shard.positions for shard in self.shards),
-            self._ids, self._class_ids, self._live, self._segment)
+        """Bytes held by the shards' sealed index arrays, each distinct
+        array once however many replicas share it, plus the cluster's
+        own ids, classes, liveness mask and delta segment."""
+        sealed = {id(array): array for shard in self.shards
+                  for rep in shard.replicas
+                  for array in (rep.index.embeddings, rep.index.ids,
+                                rep.index.class_ids, shard.positions)}
+        return ndarray_bytes(*sealed.values(), self._ids, self._class_ids,
+                             self._live, self._segment)
 
     def describe(self) -> dict:
         """Topology + health snapshot; per-shard ``items`` are sealed rows."""

@@ -27,8 +27,8 @@ import pytest
 from repro.robustness import (ChainedServingFaults, IndexCorruptionFault,
                               NaNEmbedFault, SlowEmbedFault,
                               SwapMidQueryFault)
-from repro.serving import (AdmissionConfig, CircuitState, Deadline,
-                           ResilientSearchService, RetryPolicy,
+from repro.serving import (AdmissionConfig, CircuitState, ClusterConfig,
+                           Deadline, ResilientSearchService, RetryPolicy,
                            ServiceConfig)
 
 from ._serving_util import (FakeClock, known_ingredients, make_engine,
@@ -267,11 +267,18 @@ class TestStructuredOutcomes:
         assert stats["statuses"] == {"shed": 5}
         assert len(service.outcomes) == 5
 
-    def test_index_corruption_degrades_then_swap_recovers(self, world):
+    @pytest.mark.parametrize("cluster, follow_ups", [
+        (None, 1),
+        # A fan-out records one breaker failure and has no retry loop,
+        # so the threshold of 3 takes two follow-ups to reach.
+        (ClusterConfig(num_shards=2, replication=2), 2),
+    ], ids=["monolith", "cluster"])
+    def test_index_corruption_degrades_then_swap_recovers(
+            self, world, cluster, follow_ups):
         dataset, featurizer = world
         engine = fresh_engine(world)
         fault = IndexCorruptionFault(requests=[0])
-        service, _ = make_service(engine, faults=fault)
+        service, _ = make_service(engine, faults=fault, cluster=cluster)
         ingredients = known_ingredients(engine)
 
         # corrupted index → non-finite distances → degraded answer
@@ -281,7 +288,8 @@ class TestStructuredOutcomes:
         assert response.results
 
         # damage is persistent: the breaker opens on follow-up traffic
-        service.search_by_ingredients(ingredients, k=3)
+        for _ in range(follow_ups):
+            service.search_by_ingredients(ingredients, k=3)
         assert service.index_breaker.state is CircuitState.OPEN
 
         # hot-swap rebuilds the index; breaker resets; service is clean

@@ -124,7 +124,13 @@ class TestFailoverAndRepair:
         index, rng = small_index()
         cluster = IndexCluster(
             index, ClusterConfig(num_shards=2, replication=2))
-        cluster.replica(0, 0).index.embeddings.fill(np.nan)
+        # Replicas share their shard's sealed index, so replica 0 gets
+        # its own corrupted copy rather than a fill that would reach
+        # its sibling too.
+        sealed = cluster.replica(0, 0).index
+        cluster.replica(0, 0).index = NearestNeighborIndex.from_normalized(
+            np.full_like(sealed.embeddings, np.nan), sealed.ids,
+            sealed.class_ids)
         vector = rng.normal(size=12)
         ids, _ = index.query(vector, k=5)
         result = cluster.query(vector, k=5)
@@ -183,6 +189,26 @@ class TestFailoverAndRepair:
         assert sum(s["items"] for s in info["topology"]) == len(index)
         dead = info["topology"][2]["replicas"][1]
         assert dead["alive"] is False
+
+    def test_replicas_share_one_sealed_index(self):
+        index, _ = small_index()
+        shared = IndexCluster(index, ClusterConfig(num_shards=4,
+                                                   replication=2))
+        single = IndexCluster(index, ClusterConfig(num_shards=4,
+                                                   replication=1))
+        assert shared.retained_bytes() == single.retained_bytes()
+
+        def assert_shared():
+            for shard in shared.shards:
+                for rep in shard.replicas:
+                    assert rep.index is shard.replicas[0].index
+
+        assert_shared()
+        for shard in range(4):
+            shared.crash_replica(shard, shard % 2)
+        assert shared.anti_entropy() == 4
+        assert_shared()
+        assert shared.retained_bytes() == single.retained_bytes()
 
     def test_replica_state_gauge_tracks_death_and_repair(self):
         index, _ = small_index()
@@ -347,10 +373,14 @@ class TestClusteredService:
             assert len(cluster._segment) == 1
             arrays = [cluster._ids, cluster._class_ids, cluster._live,
                       cluster._segment]
+            # Each distinct array once: replicas share their shard's
+            # sealed index, whose ids are the shard's positions.
+            sealed = {}
             for shard in cluster.shards:
-                arrays.append(shard.positions)
                 for rep in shard.replicas:
-                    arrays += [rep.index.embeddings, rep.index.ids,
-                               rep.index.class_ids]
+                    for array in (shard.positions, rep.index.embeddings,
+                                  rep.index.ids, rep.index.class_ids):
+                        sealed[id(array)] = array
+            arrays += list(sealed.values())
             expected = sum(a.nbytes for a in arrays if a is not None)
             assert components[f"cluster.{name}"] == expected

@@ -298,13 +298,6 @@ class TestIndexSubsetClone:
         with pytest.raises(ValueError, match="relabel"):
             index.subset(np.array([0, 1]), relabel=np.array([5]))
 
-    def test_clone_is_independent_copy(self):
-        index = NearestNeighborIndex(np.eye(3))
-        dup = index.clone()
-        assert dup.embeddings.tobytes() == index.embeddings.tobytes()
-        dup.embeddings.fill(np.nan)  # corrupting the clone ...
-        assert np.isfinite(index.embeddings).all()  # ... spares the original
-
 
 def _stable_argsort_reference(index, vectors, k, class_id, mask):
     """The pre-partition rule: gather the candidate rows, then a stable

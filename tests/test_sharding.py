@@ -106,15 +106,26 @@ def _cluster_world(num_items: int, seed: int):
        st.integers(min_value=1, max_value=3),
        st.integers(min_value=1, max_value=12),
        st.booleans(),
-       st.integers(min_value=0, max_value=10_000))
+       st.integers(min_value=0, max_value=10_000),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=8),
+                          st.integers(min_value=0, max_value=2))))
 def test_cluster_bitwise_identical_to_monolith(num_shards, replication,
-                                               k, use_class, seed):
+                                               k, use_class, seed,
+                                               crashes):
     """Fault-free fan-out == monolithic query, bit for bit, for any
-    shard/replica layout, k, and class constraint."""
+    shard/replica layout, k, and class constraint — also once
+    anti-entropy has repaired any set of crashed replicas that leaves
+    each shard a survivor."""
     index, rng = _cluster_world(60, seed)
     cluster = IndexCluster(
         index, ClusterConfig(num_shards=num_shards,
                              replication=replication))
+    for shard_id, replica_id in crashes:
+        shard = cluster.shards[shard_id % num_shards]
+        if sum(rep.alive for rep in shard.replicas) > 1:
+            cluster.crash_replica(shard.shard_id, replica_id % replication)
+    cluster.anti_entropy()
+    assert cluster.live_replica_count() == num_shards * replication
     vector = rng.normal(size=12)
     class_id = int(rng.integers(0, 3)) if use_class else None
     ids, distances = index.query(vector, k=k, class_id=class_id)
