@@ -12,7 +12,7 @@ faults:          ## fault-injection recovery suite only
 chaos:           ## serving chaos suite (fault schedules, breakers, hot-swap)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q -m chaos
 
-cluster-chaos:   ## sharded-cluster chaos suite (replica crashes, shard loss, hedging tails)
+cluster-chaos:   ## sharded-cluster chaos suite (replica crashes, shard loss, slow shards)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q -m cluster
 
 quicktest:       ## everything except the fault harness

@@ -11,7 +11,7 @@ just queueing politely.
 Midway through, offered load spikes to 10x capacity.  The demo then
 shows the whole overload story: the AIMD limiter walks the
 concurrency cap down to the knee, the brownout ladder engages step by
-step (hedging off -> smaller k -> model-free degraded mode -> shed
+step (smaller k -> model-free degraded mode -> shed
 background traffic), excess work is shed with per-tenant accounting
 instead of timing out, and once the storm passes the ladder walks
 back down and a fresh request is answered at full quality.

@@ -638,7 +638,6 @@ def _command_serve(args) -> int:
             print(f"  cluster {name}: {info['shards']} shards x "
                   f"{info['replication']} replicas, "
                   f"{info['live_replicas']} live, "
-                  f"{info['hedges']} hedges, "
                   f"{info['failovers']} failovers")
     if outcome.stage_ms:
         print("  stages: " + "  ".join(

@@ -7,7 +7,7 @@ collapsed-stack aggregate (Brendan Gregg's folded format:
 operationally useful rather than a flat heat map:
 
 * **thread role** — threads are classified by name (gateway handlers,
-  shard workers, compaction, the sampler itself), so a hot loop shows
+  compaction, load generators, the sampler itself), so a hot loop shows
   up *in the component that owns it*;
 * **on-CPU vs blocked** — on Linux each sample diffs per-task CPU
   clocks from ``/proc/self/task/<tid>/stat``; a thread whose CPU clock
@@ -55,8 +55,6 @@ MAX_STACK_DEPTH = 48
 _ROLE_PREFIXES = (
     ("gateway-conn", "gateway_handler"),
     ("gateway-", "gateway_control"),
-    ("shard-", "shard_worker"),
-    ("hedge-", "shard_worker"),
     ("ingest-compaction", "compaction"),
     ("profiler", "profiler"),
     ("loadgen", "loadgen"),

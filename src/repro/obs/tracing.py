@@ -436,8 +436,8 @@ class TraceSampler:
         with self._lock:
             trace_id = record.trace_id
             if trace_id in self._decided:
-                # Late arrival (e.g. a losing hedge lane finishing
-                # after the request closed): ride the earlier verdict.
+                # Late arrival (e.g. a compaction span closing after
+                # its ingest request): ride the earlier verdict.
                 kept = self._decided[trace_id]
                 if kept is not None and \
                         len(kept.spans) < self.max_spans_per_trace:

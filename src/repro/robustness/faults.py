@@ -262,7 +262,9 @@ class IndexCorruptionFault(ServingFault):
     The damage is persistent — exactly what a bad memory page or a
     botched refresh looks like — so recovery requires a hot-swap, not
     a retry.  A cluster has each distinct sealed shard index filled
-    once, which takes down every replica: they share it.
+    once, which takes down every replica: they share it.  A streaming
+    ingest :class:`~repro.serving.ingest.DeltaOverlay` has its frozen
+    ``base`` filled, where its sealed rows live.
     """
 
     def __init__(self, requests: Iterable[int]):
@@ -272,7 +274,8 @@ class IndexCorruptionFault(ServingFault):
     def on_index_start(self, request_id: int, index) -> None:
         if request_id in self.requests:
             shards = getattr(index, "shards", None)
-            for target in ([index] if shards is None else
+            for target in ([getattr(index, "base", index)]
+                           if shards is None else
                            {rep.index for shard in shards
                             for rep in shard.replicas}):
                 target.embeddings.fill(np.nan)
@@ -307,11 +310,12 @@ class ClusterFault:
 
     ``query_id`` is the cluster's monotone query counter, so fault
     schedules pin to exact queries.  ``on_cluster_query`` fires once
-    per fan-out, before validation and shard dispatch, with the
+    per fan-out, after the caller's arguments validate (a caller error
+    is no query and fires nothing) and before shard dispatch, with the
     cluster itself (kill replicas, trip breakers, rewire topology);
     ``on_replica_query`` fires on each replica *attempt* — including
-    failover and hedge attempts — and may sleep or raise.  The no-op
-    base injects nothing.
+    failover attempts — and may sleep or raise.  The no-op base
+    injects nothing.
     """
 
     def on_cluster_query(self, query_id: int, cluster) -> None:
@@ -359,22 +363,17 @@ class ReplicaCrash(ClusterFault):
 
 
 class SlowShard(ClusterFault):
-    """Stall replica attempts on one shard by ``delay`` seconds.
+    """Stall every replica attempt on one shard by ``delay`` seconds.
 
-    Targets ``shard_id`` (optionally a single ``replica_id`` — the
-    straggler scenario hedging exists for: the primary stalls while
-    its sibling is fine) on the given query ids.  ``sleep`` is
-    injectable; chaos tests that measure wall-clock tail latency pass
+    Targets ``shard_id`` on the given query ids.  ``sleep`` is
+    injectable; chaos tests that measure wall-clock latency pass
     ``time.sleep``.
     """
 
     def __init__(self, queries: Iterable[int], shard_id: int,
-                 delay: float, sleep: Callable[[float], None],
-                 replica_id: int | None = None):
+                 delay: float, sleep: Callable[[float], None]):
         self.queries = {int(q) for q in queries}
         self.shard_id = int(shard_id)
-        self.replica_id = (None if replica_id is None
-                           else int(replica_id))
         self.delay = float(delay)
         self.sleep = sleep
         self.fired: list[tuple[int, int, int]] = []
@@ -382,8 +381,6 @@ class SlowShard(ClusterFault):
     def on_replica_query(self, query_id: int, shard_id: int,
                          replica_id: int) -> None:
         if query_id not in self.queries or shard_id != self.shard_id:
-            return
-        if self.replica_id is not None and replica_id != self.replica_id:
             return
         self.sleep(self.delay)
         self.fired.append((query_id, shard_id, replica_id))

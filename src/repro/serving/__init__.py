@@ -14,8 +14,8 @@ Production containment around :class:`~repro.core.engine.RecipeSearchEngine`:
   placement and bitwise-exact top-k merging;
 * :mod:`~repro.serving.cluster` — the sharded, replicated
   :class:`~repro.serving.cluster.IndexCluster` with a sequential
-  fan-out on the caller's thread, hedged requests, failover,
-  anti-entropy repair, and partial results;
+  fan-out on the caller's thread, failover, anti-entropy repair,
+  and partial results;
 * :mod:`~repro.serving.wal` — the crash-safe, checksummed,
   segment-rotated write-ahead delta log;
 * :mod:`~repro.serving.ingest` — streaming adds/deletes over a frozen

@@ -20,9 +20,9 @@ module is the control plane, composed from four pieces:
   (:data:`~repro.obs.slo` exports the default), clamped to a
   floor/ceiling so it can neither collapse nor run away;
 * :class:`BrownoutController` — a declarative degradation ladder
-  (disable hedged backup lanes → shrink per-request ``k`` → route to
-  the model-free :class:`~repro.serving.degraded.DegradedRanker` →
-  shed background tenants) stepped one level at a time by sustained
+  (shrink per-request ``k`` → route to the model-free
+  :class:`~repro.serving.degraded.DegradedRanker` → shed background
+  tenants) stepped one level at a time by sustained
   pressure, released in reverse order when the storm passes, with
   every transition emitted as an event and a ``brownout_level`` gauge.
 
@@ -69,8 +69,7 @@ SHED_REASONS = ("rate_limit", "queue_full", "expired", "brownout",
 
 #: The default degradation ladder, cheapest mechanism first.  Level 0
 #: ("full") is implicit; engaging steps right, releasing steps left.
-BROWNOUT_LADDER = ("hedge_off", "shrink_k", "degraded",
-                   "shed_background")
+BROWNOUT_LADDER = ("shrink_k", "degraded", "shed_background")
 
 #: Fair-queue weight of a tenant with no configured policy.
 _DEFAULT_WEIGHT = 1.0

@@ -17,18 +17,12 @@ survivable:
 * **failover** — each replica sits behind its own
   :class:`~repro.serving.retry.CircuitBreaker`; dead, tripped, or
   corrupted replicas are skipped and the next live sibling answers;
-* **hedged requests** — once a replica has a latency history, a
-  backup replica is fired when the primary exceeds its recent latency
-  quantile, cutting the tail a single slow replica would otherwise
-  impose on every fan-out.  Only an armed hedge starts threads: the
-  primary and backup lanes race, and the caller waits for the first
-  answer;
 * **deadline carving** — the caller's
   :class:`~repro.serving.deadline.Deadline` budget bounds the
   fan-out: it is checked before and after every replica attempt, and
   shards that cannot answer inside the carve are dropped rather than
-  dragging the whole request into a timeout.  An unhedged attempt runs
-  to completion, so a stuck shard costs its own run time;
+  dragging the whole request into a timeout.  An attempt runs to
+  completion, so a stuck shard costs its own run time;
 * **partial results** — a lost shard degrades the answer, not the
   request: the merged result reports ``shards_answered`` /
   ``shards_total`` and the caller decides what "partial" means
@@ -43,17 +37,14 @@ survivable:
   folded base, so a lost shard drops only its sealed rows.
 
 Everything observable lands in :mod:`repro.obs`: per-shard latency
-histograms, per-replica state gauges, hedge / failover / rebuild /
-partial counters.  The clock is injectable; hedging uses real
-concurrency (lane threads racing on a condition) and is exercised by
-the chaos suite with real injected delays.
+histograms, per-replica state gauges, failover / rebuild / partial
+counters.  The clock is injectable, and no query starts a thread.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -87,16 +78,6 @@ REPLICA_DEAD = 3
 #: dropped from the merge.
 _SHARD_BUDGET_FRACTION = 0.95
 
-#: Hedging: once a primary replica holds ``_HEDGE_WARMUP`` latency
-#: samples (of its last ``_LATENCY_WINDOW``), the backup replica fires
-#: after ``_HEDGE_FACTOR`` times its ``_HEDGE_QUANTILE`` latency, and
-#: never sooner than ``_HEDGE_MIN_WAIT`` seconds.
-_HEDGE_QUANTILE = 0.9
-_HEDGE_FACTOR = 2.0
-_HEDGE_MIN_WAIT = 0.001
-_HEDGE_WARMUP = 8
-_LATENCY_WINDOW = 128
-
 #: Per-replica breaker: open after this many failures in a row, stay
 #: open this many seconds, close after this many half-open successes.
 _BREAKER_FAILURE_THRESHOLD = 2
@@ -105,16 +86,23 @@ _BREAKER_HALF_OPEN_SUCCESSES = 1
 
 
 class _ReplicaDown(RuntimeError):
-    """A replica refused or failed an attempt; the lane fails over."""
+    """A replica refused or failed an attempt; the chain fails over."""
 
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Topology of one :class:`IndexCluster`, and whether it hedges."""
+    """Topology of one :class:`IndexCluster`."""
 
     num_shards: int = 3
     replication: int = 2
-    hedge_enabled: bool = True
+    # Kept only for perfbench/inproc.py, which passes False; ROADMAP
+    # item 8's [benchmark] change drops that kwarg, then this field.
+    hedge_enabled: bool = False
+
+    def __post_init__(self):
+        if self.hedge_enabled:
+            raise ValueError("hedged requests were removed; "
+                             "hedge_enabled must be False")
 
 
 @dataclass(frozen=True)
@@ -125,7 +113,6 @@ class ClusterResult:
     distances: np.ndarray      # aligned cosine distances
     shards_total: int
     shards_answered: int
-    hedges: int                # backup replicas fired for this query
     failovers: int             # replica attempts skipped or failed
 
     @property
@@ -159,26 +146,10 @@ class ShardReplica:
         self.index = index
         self.breaker = breaker
         self.alive = True
-        self._lock = threading.Lock()
-        self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
 
     def available(self) -> bool:
         """May this replica serve an attempt right now?"""
         return self.alive and self.breaker.allow()
-
-    def observe_latency(self, seconds: float) -> None:
-        with self._lock:
-            self._latencies.append(float(seconds))
-
-    def latency_snapshot(self) -> list[float]:
-        with self._lock:
-            return list(self._latencies)
-
-    def latency_quantile(self, q: float) -> float | None:
-        snapshot = self.latency_snapshot()
-        if not snapshot:
-            return None
-        return float(np.quantile(np.asarray(snapshot), q))
 
     def kill(self) -> None:
         """Simulate a crashed replica process (used by fault
@@ -186,12 +157,10 @@ class ShardReplica:
         self.alive = False
 
     def revive(self, index: NearestNeighborIndex) -> None:
-        """Anti-entropy repair: a healthy sibling's index, a clean
-        breaker, no stale latency history."""
+        """Anti-entropy repair: a healthy sibling's index and a clean
+        breaker."""
         self.index = index
         self.alive = True
-        with self._lock:
-            self._latencies.clear()
         self.breaker.reset()
 
 
@@ -205,70 +174,6 @@ class _Shard:
         self.replicas = replicas
 
 
-class _QueryStats:
-    """Per-query hedge/failover tally, shared with hedge lanes."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.hedges = 0
-        self.failovers = 0
-
-    def hedge(self) -> None:
-        with self._lock:
-            self.hedges += 1
-
-    def failover(self, count: int = 1) -> None:
-        with self._lock:
-            self.failovers += count
-
-
-class _OneShot:
-    """First-success holder coordinating a hedged shard's racing lanes.
-
-    ``wait`` returns once a result lands *or* every expected lane has
-    finished empty-handed — so a coordinator neither busy-waits nor
-    blocks on lanes that already gave up.
-    """
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self.result = None
-        self._expected = 0
-        self._finished = 0
-
-    def expect_lane(self) -> None:
-        with self._cond:
-            self._expected += 1
-
-    def offer(self, value) -> bool:
-        with self._cond:
-            if self.result is None:
-                self.result = value
-                self._cond.notify_all()
-                return True
-            return False
-
-    def lane_done(self) -> None:
-        with self._cond:
-            self._finished += 1
-            self._cond.notify_all()
-
-    def settled(self) -> bool:
-        with self._cond:
-            return (self.result is not None
-                    or self._finished >= self._expected)
-
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until settled (or ``timeout``); True iff a result is
-        available."""
-        with self._cond:
-            self._cond.wait_for(
-                lambda: (self.result is not None
-                         or self._finished >= self._expected),
-                timeout)
-            return self.result is not None
-
-
 class IndexCluster:
     """Shard + replicate one nearest-neighbour index; keep answering.
 
@@ -279,7 +184,7 @@ class IndexCluster:
         are copied verbatim into one sealed index per shard, shared by
         its replicas; the source object is not retained.
     config:
-        Topology and the hedging switch.
+        Topology: shard count and replicas per shard.
     name:
         Label for this cluster's metric series (a service runs two:
         ``image`` and ``recipe``).
@@ -326,7 +231,6 @@ class IndexCluster:
         self._stats_lock = threading.Lock()
         self._next_query_id = 0
         self._queries = 0
-        self._hedges = 0
         self._failovers = 0
         self._rebuilds = 0
         self._partials = 0
@@ -367,16 +271,12 @@ class IndexCluster:
             labels=("cluster", "outcome"))
         self._m_shard_latency = registry.histogram(
             "cluster_shard_seconds",
-            "per-shard answer latency (winning replica attempt)",
+            "per-shard answer latency (answering replica attempt)",
             labels=("cluster", "shard"), buckets=LATENCY_BUCKETS)
         self._m_replica_state = registry.gauge(
             "cluster_replica_state",
             "0 closed, 1 half-open, 2 open, 3 dead",
             labels=("cluster", "shard", "replica"))
-        self._m_hedges = registry.counter(
-            "cluster_hedges_total",
-            "backup replicas fired after a slow primary",
-            labels=("cluster", "shard"))
         self._m_failovers = registry.counter(
             "cluster_failovers_total",
             "replica attempts skipped or failed over",
@@ -534,25 +434,17 @@ class IndexCluster:
     def describe(self) -> dict:
         """Topology + health snapshot; per-shard ``items`` are sealed rows."""
         with self._stats_lock:
-            totals = {"queries": self._queries, "hedges": self._hedges,
+            totals = {"queries": self._queries,
                       "failovers": self._failovers,
                       "rebuilds": self._rebuilds,
                       "partials": self._partials}
-        topology = []
-        for shard in self.shards:
-            replicas = []
-            for rep in shard.replicas:
-                p95 = rep.latency_quantile(0.95)
-                replicas.append({
-                    "replica": rep.replica_id,
-                    "alive": rep.alive,
-                    "breaker": rep.breaker.state.value,
-                    "latency_p95_ms": (None if p95 is None
-                                       else p95 * 1000.0),
-                })
-            topology.append({"shard": shard.shard_id,
-                             "items": int(len(shard.positions)),
-                             "replicas": replicas})
+        topology = [{"shard": shard.shard_id,
+                     "items": int(len(shard.positions)),
+                     "replicas": [{"replica": rep.replica_id,
+                                   "alive": rep.alive,
+                                   "breaker": rep.breaker.state.value}
+                                  for rep in shard.replicas]}
+                    for shard in self.shards]
         return {"name": self.name,
                 "shards": len(self.shards),
                 "replication": self._config.replication,
@@ -586,8 +478,7 @@ class IndexCluster:
 
     def query(self, vector: np.ndarray, k: int = 5,
               class_id: int | None = None, strict: bool = False,
-              deadline: Deadline | None = None,
-              hedge: bool | None = None) -> ClusterResult:
+              deadline: Deadline | None = None) -> ClusterResult:
         """Fan one query out to every shard and merge the top-k.
 
         Fault-free, the merged ``(ids, distances)`` are bitwise
@@ -597,12 +488,6 @@ class IndexCluster:
         of the corpus the answer represents.  Never raises for
         operational faults — only for caller errors (bad ``k``,
         unknown metadata, ``strict`` pool violations).
-
-        ``hedge=False`` disables backup lanes for this query even when
-        the config allows them — the brownout ladder's first level
-        trades tail latency for halved worst-case fan-out cost.
-        ``None`` defers to ``ClusterConfig.hedge_enabled``; ``True``
-        cannot force hedging past a config that disabled it.
         """
         live = self._live        # snapshot before reading other arrays
         # A caller error is no query: it neither counts nor moves the
@@ -619,16 +504,17 @@ class IndexCluster:
         expired = deadline is not None and deadline.expired
         shard_budget = (None if deadline is None else
                         deadline.sub(_SHARD_BUDGET_FRACTION))
-        stats = _QueryStats()
         tracer = self.telemetry.tracer
         answered = []
+        failovers = 0
         for shard in [] if expired else self.shards:
             with tracer.span("shard_query", cluster=self.name,
                              shard=shard.shard_id) as span:
-                outcome = self._query_shard(
+                outcome, shard_failovers = self._query_shard(
                     shard, vector, k, class_id, live[shard.positions],
-                    shard_budget, query_id, stats, hedge=hedge)
+                    shard_budget, query_id)
                 span.set_attribute("answered", outcome is not None)
+            failovers += shard_failovers
             if outcome is not None:
                 answered.append(outcome)
         # One scan of the live streamed rows, merged as one more part
@@ -642,20 +528,17 @@ class IndexCluster:
         result = ClusterResult(
             ids=self._ids[positions], distances=distances,
             shards_total=len(self.shards),
-            shards_answered=len(answered),
-            hedges=stats.hedges, failovers=stats.failovers)
-        self._account(result, stats)
+            shards_answered=len(answered), failovers=failovers)
+        self._account(result)
         self.anti_entropy()
         return result
 
-    def _account(self, result: ClusterResult,
-                 stats: _QueryStats) -> None:
+    def _account(self, result: ClusterResult) -> None:
         outcome = ("unanswered" if result.shards_answered == 0
                    else "partial" if result.partial else "ok")
         self._m_queries.labels(cluster=self.name, outcome=outcome).inc()
         with self._stats_lock:
-            self._hedges += stats.hedges
-            self._failovers += stats.failovers
+            self._failovers += result.failovers
             if result.partial:
                 self._partials += 1
         if result.partial:
@@ -669,109 +552,46 @@ class IndexCluster:
                 result.margin)
 
     # ------------------------------------------------------------------
-    # Per-shard execution: failover, hedging
+    # Per-shard execution: failover
     # ------------------------------------------------------------------
     def _query_shard(self, shard: _Shard, vector, k: int,
                      class_id: int | None, mask: np.ndarray,
-                     budget: Deadline | None, query_id: int,
-                     stats: _QueryStats, hedge: bool | None = None):
-        """Masked failover chain, run on the calling thread unless a
-        hedge is armed; then the chain and the backup race on lanes."""
-        hedge = (self._config.hedge_enabled if hedge is None
-                 else bool(hedge) and self._config.hedge_enabled)
+                     budget: Deadline | None, query_id: int):
+        """Walk the shard's masked failover chain on the calling thread.
+
+        Returns ``(answer, failovers)``: the first answer inside the
+        carve, or ``None``, and how many replicas were skipped or
+        failed on the way.
+        """
         ordered = [rep for rep in shard.replicas if rep.available()]
-        skipped = len(shard.replicas) - len(ordered)
-        if skipped:
-            stats.failover(skipped)
+        failovers = len(shard.replicas) - len(ordered)
+        if failovers:
             self._m_failovers.labels(cluster=self.name,
-                                     shard=shard.shard_id).inc(skipped)
-        if not ordered:
-            return None
-
-        def lane(chain: list[ShardReplica], holder: _OneShot | None = None):
-            """The first answer from ``chain`` inside the carve, or
-            ``None`` (also once a racing lane has won)."""
-            for rep in chain:
-                if holder is not None and holder.result is not None:
-                    return None
-                if budget is not None and budget.expired:
-                    return None
-                try:
-                    answer = self._attempt(
-                        shard, rep, query_id, budget,
-                        lambda: rep.index.query(
-                            vector, k=k, class_id=class_id, mask=mask))
-                except _ReplicaDown:
-                    stats.failover()
-                    self._m_failovers.labels(
-                        cluster=self.name, shard=shard.shard_id).inc()
-                    continue
-                if budget is not None and budget.expired:
-                    return None   # landed after the carve: dropped
-                return answer
-            return None
-
-        hedge_wait = (self._hedge_wait(ordered[0])
-                      if hedge and len(ordered) > 1 else None)
-        if hedge_wait is None:
-            return lane(ordered)
-        holder = _OneShot()
-
-        def race(chain: list[ShardReplica]) -> None:
+                                     shard=shard.shard_id).inc(failovers)
+        for rep in ordered:
+            if budget is not None and budget.expired:
+                break
             try:
-                answer = lane(chain, holder)
-                if answer is not None:
-                    holder.offer(answer)
-            finally:
-                holder.lane_done()
-
-        holder.expect_lane()
-        threading.Thread(target=race, args=(ordered,), daemon=True,
-                         name=f"shard-{self.name}-{shard.shard_id}").start()
-        if budget is not None:
-            hedge_wait = min(hedge_wait, max(budget.remaining(), 0.0))
-        if not holder.wait(hedge_wait) and not holder.settled():
-            stats.hedge()
-            self._m_hedges.labels(cluster=self.name,
-                                  shard=shard.shard_id).inc()
-            holder.expect_lane()
-            tracer = self.telemetry.tracer
-            ctx = tracer.capture()
-
-            def hedge_lane() -> None:
-                # The backup lane is its own span inside the
-                # shard_query: when the hedge wins, the critical path
-                # shows it; when it loses, the span closes late and
-                # still joins the trace by parent id.
-                with tracer.attach(ctx), \
-                        tracer.span("hedge", cluster=self.name,
-                                    shard=shard.shard_id,
-                                    replica=ordered[1].replica_id):
-                    race([ordered[1]])
-
-            threading.Thread(target=hedge_lane, daemon=True,
-                             name=f"hedge-{self.name}"
-                                  f"-{shard.shard_id}").start()
-        holder.wait(None if budget is None
-                    else max(budget.remaining(), 0.0))
-        return holder.result
-
-    def _hedge_wait(self, primary: ShardReplica) -> float | None:
-        """How long to give the primary before firing the backup, or
-        ``None`` while its latency history is too thin to judge."""
-        snapshot = primary.latency_snapshot()
-        if len(snapshot) < _HEDGE_WARMUP:
-            return None
-        quantile = float(np.quantile(np.asarray(snapshot),
-                                     _HEDGE_QUANTILE))
-        return max(quantile * _HEDGE_FACTOR, _HEDGE_MIN_WAIT)
+                answer = self._attempt(
+                    shard, rep, query_id,
+                    lambda: rep.index.query(
+                        vector, k=k, class_id=class_id, mask=mask))
+            except _ReplicaDown:
+                failovers += 1
+                self._m_failovers.labels(
+                    cluster=self.name, shard=shard.shard_id).inc()
+                continue
+            if budget is not None and budget.expired:
+                break     # landed after the carve: dropped
+            return answer, failovers
+        return None, failovers
 
     def _attempt(self, shard: _Shard, rep: ShardReplica,
-                 query_id: int, budget: Deadline | None, call):
+                 query_id: int, call):
         """One replica attempt with health accounting.
 
         Raises :class:`_ReplicaDown` on any operational failure so the
-        lane fails over; returns the (positions, distances) answer on
+        chain fails over; returns the (positions, distances) answer on
         success.
         """
         if not rep.alive:
@@ -803,5 +623,4 @@ class IndexCluster:
                 f"shard {shard.shard_id} replica {rep.replica_id}: "
                 f"non-finite distances")
         rep.breaker.record_success()
-        rep.observe_latency(elapsed)
         return positions, distances

@@ -25,8 +25,8 @@ production deployment needs:
 * **sharded fan-out** — configured with a ``cluster``, each
   generation's indexes are served by an
   :class:`~repro.serving.cluster.IndexCluster` (replicated shards
-  answering in turn on the request thread, hedged requests,
-  failover, anti-entropy); a fan-out that loses
+  answering in turn on the request thread, failover,
+  anti-entropy); a fan-out that loses
   shards degrades to a ``partial`` outcome carrying
   ``shards_answered``/``shards_total`` instead of failing;
 * **hot-swap** — :meth:`ResilientSearchService.swap_corpus` builds a
@@ -836,7 +836,6 @@ class ResilientSearchService:
                     # Brownout effects, evaluated once per request
                     # against the ladder the admission plane steps.
                     brownout = self.admission.brownout
-                    hedge = False if brownout.active("hedge_off") else None
                     k_effective = (max(1, min(k, _BROWNOUT_K_CAP))
                                    if brownout.active("shrink_k") else k)
                     force_degraded = (brownout.active("degraded")
@@ -861,7 +860,7 @@ class ResilientSearchService:
                             rows, distances, fan_out = self._index_stage(
                                 generation, request_id, vector,
                                 k_effective, class_id, which_index,
-                                budget, hedge)
+                                budget)
                         status = ("partial"
                                   if fan_out is not None and fan_out.partial
                                   else "ok")
@@ -984,8 +983,7 @@ class ResilientSearchService:
 
     def _index_stage(self, generation: EngineGeneration, request_id: int,
                      vector: np.ndarray, k: int, class_id: int | None,
-                     which_index: str, budget: Deadline,
-                     hedge: bool | None = None
+                     which_index: str, budget: Deadline
                      ) -> tuple[np.ndarray, np.ndarray,
                                 ClusterResult | None]:
         """Index query with retries behind the index breaker.
@@ -1001,7 +999,7 @@ class ResilientSearchService:
                    else generation.recipe_cluster)
         if cluster is not None:
             return self._cluster_stage(cluster, request_id, vector, k,
-                                       class_id, budget, hedge)
+                                       class_id, budget)
         breaker = self.index_breaker
         policy = self._config.retry
         if self.ingestor is not None:
@@ -1042,8 +1040,7 @@ class ResilientSearchService:
 
     def _cluster_stage(self, cluster: IndexCluster, request_id: int,
                        vector: np.ndarray, k: int,
-                       class_id: int | None, budget: Deadline,
-                       hedge: bool | None = None
+                       class_id: int | None, budget: Deadline
                        ) -> tuple[np.ndarray, np.ndarray, ClusterResult]:
         """One fan-out through the generation's cluster.
 
@@ -1061,7 +1058,7 @@ class ResilientSearchService:
         if self._faults is not None:
             self._faults.on_index_start(request_id, cluster)
         result = cluster.query(vector, k=k, class_id=class_id,
-                               deadline=budget, hedge=hedge)
+                               deadline=budget)
         if result.shards_answered == 0:
             breaker.record_failure()
             raise _StageUnavailable(

@@ -292,9 +292,9 @@ class TestBrownoutController:
         controller.observe(5.0)  # arm the dwell
         stepped(controller, clock, 5.0, 2)
         assert controller.level == 2
-        assert controller.active("hedge_off")
         assert controller.active("shrink_k")
-        assert not controller.active("degraded")
+        assert controller.active("degraded")
+        assert not controller.active("shed_background")
         assert not controller.active("no_such_step")
 
     def test_transitions_emit_events_and_metrics(self):
@@ -311,7 +311,7 @@ class TestBrownoutController:
         assert gauge.value == 2
         records = telemetry.events.of_type("brownout")
         assert len(records) == 2
-        assert [r["step"] for r in records] == ["hedge_off", "shrink_k"]
+        assert [r["step"] for r in records] == ["shrink_k", "degraded"]
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,8 @@ def fresh_engine(world):
     return make_engine(dataset, featurizer)
 
 
-def make_service(engine, faults=None, clock=None, **overrides):
+def make_service(engine, faults=None, clock=None, ingest_log=None,
+                 **overrides):
     clock = clock or FakeClock()
     defaults = dict(
         deadline=1.0,
@@ -60,7 +61,8 @@ def make_service(engine, faults=None, clock=None, **overrides):
     config = ServiceConfig(**defaults)
     service = ResilientSearchService(engine, config, clock=clock,
                                      sleep=clock.sleep,
-                                     rng=random.Random(0), faults=faults)
+                                     rng=random.Random(0), faults=faults,
+                                     ingest_log=ingest_log)
     return service, clock
 
 
@@ -267,22 +269,27 @@ class TestStructuredOutcomes:
         assert stats["statuses"] == {"shed": 5}
         assert len(service.outcomes) == 5
 
-    @pytest.mark.parametrize("cluster, follow_ups", [
-        (None, 1),
+    @pytest.mark.parametrize("cluster, follow_ups, ingest", [
+        (None, 1, False),
         # A fan-out records one breaker failure and has no retry loop,
         # so the threshold of 3 takes two follow-ups to reach.
-        (ClusterConfig(num_shards=2, replication=2), 2),
-    ], ids=["monolith", "cluster"])
+        (ClusterConfig(num_shards=2, replication=2), 2, False),
+        # Streaming ingest serves the monolith through a DeltaOverlay.
+        (None, 1, True),
+    ], ids=["monolith", "cluster", "monolith-ingest"])
     def test_index_corruption_degrades_then_swap_recovers(
-            self, world, cluster, follow_ups):
+            self, world, tmp_path, cluster, follow_ups, ingest):
         dataset, featurizer = world
         engine = fresh_engine(world)
         fault = IndexCorruptionFault(requests=[0])
-        service, _ = make_service(engine, faults=fault, cluster=cluster)
+        service, _ = make_service(
+            engine, faults=fault, cluster=cluster,
+            ingest_log=tmp_path / "wal" if ingest else None)
         ingredients = known_ingredients(engine)
 
         # corrupted index → non-finite distances → degraded answer
         response = service.search_by_ingredients(ingredients, k=3)
+        assert fault.fired, "the fault never reached the index rows"
         assert response.outcome.status == "degraded"
         assert "index" in response.outcome.error
         assert response.results
@@ -291,6 +298,11 @@ class TestStructuredOutcomes:
         for _ in range(follow_ups):
             service.search_by_ingredients(ingredients, k=3)
         assert service.index_breaker.state is CircuitState.OPEN
+        if ingest:
+            # No recovery path yet: swap_corpus is refused while ingest
+            # is on, and compact_ingest folds the corrupted base, so its
+            # canaries veto it.
+            return
 
         # hot-swap rebuilds the index; breaker resets; service is clean
         report = service.swap_corpus(

@@ -317,7 +317,7 @@ class TestClusteredService:
         snapshot = last_metrics_snapshot(trace)
         assert snapshot is not None
         for name in ("cluster_queries_total", "cluster_shard_seconds",
-                     "cluster_replica_state", "cluster_hedges_total",
+                     "cluster_replica_state",
                      "cluster_failovers_total",
                      "cluster_anti_entropy_rebuilds_total",
                      "cluster_partial_results_total"):

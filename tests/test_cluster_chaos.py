@@ -1,8 +1,7 @@
 """Cluster chaos suite: scripted shard/replica fault schedules.
 
 Run with ``pytest -m cluster`` (or ``make cluster-chaos``).  The
-fake-clock cases carry ``fakeclock`` and also run in tier-1; the
-real-sleep hedging case (c) stays opt-in.
+fake-clock cases carry ``fakeclock`` and also run in tier-1.
 
 The acceptance scenarios from the issue:
 
@@ -11,21 +10,14 @@ The acceptance scenarios from the issue:
     increment, and anti-entropy restores the full replica count;
 (b) :class:`ShardLoss` of one whole shard — outcomes become
     ``partial`` with the correct ``shards_answered``, never
-    exceptions;
-(c) hedged requests measurably cut tail latency under an injected
-    :class:`SlowShard` straggler (real clock, real sleeps — this is
-    the one suite where wall time is the observable).
+    exceptions.
 """
 
-import time
-
-import numpy as np
 import pytest
 
-from repro.retrieval.index import NearestNeighborIndex
 from repro.robustness import ReplicaCrash, ShardLoss, SlowShard
 from repro.serving import ResilientSearchService, ServiceConfig
-from repro.serving.cluster import ClusterConfig, IndexCluster
+from repro.serving.cluster import ClusterConfig
 
 from ._serving_util import (FakeClock, known_ingredients, make_engine,
                             make_world)
@@ -144,49 +136,3 @@ class TestShardLoss:
             # The fake-clock stall consumes the whole shared budget, so
             # the fan-out yields nothing and the service falls back.
             assert response.outcome.status in ("degraded", "timeout")
-
-
-# ----------------------------------------------------------------------
-# (c) hedging cuts the tail under a deterministic straggler
-# ----------------------------------------------------------------------
-class TestHedgingTailLatency:
-    WARMUP = 30
-    SLOW = 12
-    DELAY = 0.08  # seconds of real sleep on the straggler
-
-    def _run(self, hedge_enabled):
-        rng = np.random.default_rng(11)
-        index = NearestNeighborIndex(rng.normal(size=(80, 12)))
-        # Replica 0 of shard 0 becomes a straggler after warmup; its
-        # sibling stays fast — the exact scenario hedging targets.
-        fault = SlowShard(
-            queries=range(self.WARMUP, self.WARMUP + self.SLOW),
-            shard_id=0, replica_id=0, delay=self.DELAY,
-            sleep=time.sleep)
-        cluster = IndexCluster(
-            index,
-            ClusterConfig(num_shards=2, replication=2,
-                          hedge_enabled=hedge_enabled),
-            faults=fault)
-        vector = rng.normal(size=12)
-        expected_ids, _ = index.query(vector, k=5)
-        for _ in range(self.WARMUP):
-            cluster.query(vector, k=5)
-        latencies = []
-        for _ in range(self.SLOW):
-            started = time.monotonic()
-            result = cluster.query(vector, k=5)
-            latencies.append(time.monotonic() - started)
-            assert not result.partial
-            assert np.array_equal(result.ids, expected_ids)
-        return float(np.quantile(latencies, 0.99)), cluster
-
-    def test_hedging_beats_no_hedging_p99(self):
-        unhedged_p99, _ = self._run(hedge_enabled=False)
-        hedged_p99, cluster = self._run(hedge_enabled=True)
-        # Without hedging every straggler query eats the full delay.
-        assert unhedged_p99 >= self.DELAY * 0.9
-        # With hedging the backup replica answers while the straggler
-        # sleeps; generous margin to stay robust on slow CI.
-        assert hedged_p99 < self.DELAY * 0.75
-        assert cluster.describe()["hedges"] > 0

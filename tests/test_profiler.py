@@ -103,8 +103,6 @@ class TestClassification:
     @pytest.mark.parametrize("name,role", [
         ("gateway-conn-3", "gateway_handler"),
         ("gateway-acceptor", "gateway_control"),
-        ("shard-primary-1", "shard_worker"),
-        ("hedge-primary-0", "shard_worker"),
         ("ingest-compaction", "compaction"),
         ("profiler-sampler", "profiler"),
         ("loadgen-2", "loadgen"),
@@ -147,7 +145,7 @@ class TestClassification:
 # ----------------------------------------------------------------------
 class TestSampling:
     def test_cpu_clock_delta_splits_running_from_blocked(self):
-        spin = FakeThread(1, "shard-s-0")
+        spin = FakeThread(1, "loadgen-s-0")
         idle = FakeThread(2, "gateway-conn-7")
         frames = {1: FakeFrame(["query", "dot"]),
                   2: FakeFrame(["handle", "recv"])}
@@ -159,18 +157,18 @@ class TestSampling:
             prof.sample_once()
         snap = prof.snapshot()
         # 5 delta-attributed samples + 1 heuristic priming sample
-        assert snap["roles"]["shard_worker"]["cpu"] == 6
+        assert snap["roles"]["loadgen"]["cpu"] == 6
         assert snap["roles"]["gateway_handler"]["blocked"] == 6
         assert snap["samples"] == 6
 
     def test_heuristic_fallback_without_cpu_probe(self):
-        threads = [FakeThread(1, "shard-s-0"),
-                   FakeThread(2, "shard-s-1")]
+        threads = [FakeThread(1, "loadgen-s-0"),
+                   FakeThread(2, "loadgen-s-1")]
         frames = {1: FakeFrame(["query", "dot"]),
                   2: FakeFrame(["query", "wait"])}
         prof = make_profiler(frames, threads, cpu=None)
         prof.sample_once()
-        roles = prof.snapshot()["roles"]["shard_worker"]
+        roles = prof.snapshot()["roles"]["loadgen"]
         assert roles == {"cpu": 1, "blocked": 1}
 
     def test_stage_attribution_via_open_spans(self):
@@ -207,7 +205,7 @@ class TestSampling:
         assert list(stages) == ["index"]
 
     def test_bounded_stacks_fold_into_overflow(self):
-        thread = FakeThread(1, "shard-s-0")
+        thread = FakeThread(1, "loadgen-s-0")
         prof = SamplingProfiler(
             frames_fn=lambda: {},      # unused; we drive _record_stack
             threads_fn=lambda: [thread],
@@ -221,7 +219,7 @@ class TestSampling:
         assert snap["dropped_stacks"] == 16
         overflow = [l for l in prof.collapsed()
                     if "<overflow>" in l]
-        assert overflow and overflow[0].startswith("shard_worker;")
+        assert overflow and overflow[0].startswith("loadgen;")
 
     def test_own_stack_counted_as_role_but_not_folded(self):
         prof = make_profiler({7: FakeFrame(["profiler.sample_once"])},
@@ -251,7 +249,7 @@ class TestSampling:
 
     def test_snapshot_is_json_safe(self):
         prof = make_profiler({1: FakeFrame(["a.b"])},
-                             [FakeThread(1, "shard-x-1")])
+                             [FakeThread(1, "loadgen-x-1")])
         prof.sample_once()
         json.dumps(json_safe(prof.snapshot()))
 
@@ -526,7 +524,7 @@ class TestAttributionRealClock:
     def test_sleep_vs_spin(self):
         stop = threading.Event()
         spinner = threading.Thread(target=_spin, args=(stop,),
-                                   name="shard-spin-0", daemon=True)
+                                   name="loadgen-spin-0", daemon=True)
         sleeper = threading.Thread(target=stop.wait,
                                    name="gateway-conn-9", daemon=True)
         prof = SamplingProfiler(hz=61.0)
@@ -539,14 +537,14 @@ class TestAttributionRealClock:
         spinner.join()
         sleeper.join()
         roles = prof.snapshot()["roles"]
-        spin_cpu = roles["shard_worker"].get("cpu", 0)
-        spin_blk = roles["shard_worker"].get("blocked", 0)
+        spin_cpu = roles["loadgen"].get("cpu", 0)
+        spin_blk = roles["loadgen"].get("blocked", 0)
         idle_cpu = roles["gateway_handler"].get("cpu", 0)
         idle_blk = roles["gateway_handler"].get("blocked", 0)
         assert spin_cpu / max(spin_cpu + spin_blk, 1) > 0.5
         assert idle_blk / max(idle_cpu + idle_blk, 1) > 0.8
         folded = "\n".join(prof.collapsed())
-        assert "shard_worker;" in folded
+        assert "loadgen;" in folded
         assert "_spin" in folded
 
     def test_proc_cpu_seconds_tracks_burn(self):
@@ -591,7 +589,7 @@ class TestLedgerRssAccounting:
 @pytest.mark.profile
 class TestFlightBundleAcceptance:
     """Induced SlowShard + hot-spin: the bundle's profile must blame
-    the spin on the shard-worker role and the memory ledger must
+    the spin on the compaction role and the memory ledger must
     itemize the serving components."""
 
     def test_profile_and_memory_land_in_bundle(self, world, tmp_path):
@@ -607,7 +605,7 @@ class TestFlightBundleAcceptance:
             rng=_random.Random(0), cluster_faults=fault)
         stop = threading.Event()
         spinner = threading.Thread(target=_spin, args=(stop,),
-                                   name="shard-hot-9", daemon=True)
+                                   name="ingest-compaction-hot-9", daemon=True)
         spinner.start()
         prof = service.start_profiler(hz=97.0)
         ingredients = known_ingredients(service._active.engine, 2)
@@ -636,7 +634,7 @@ class TestFlightBundleAcceptance:
                   if l and not l.startswith("#")]
         spin_lines = [l for l in folded if "_spin" in l]
         assert spin_lines, "hot spin never sampled"
-        assert all(l.startswith("shard_worker;")
+        assert all(l.startswith("compaction;")
                    for l in spin_lines)
         top = top_frames(folded, n=5)
         assert any("_spin" in entry["frame"] for entry in top)

@@ -138,17 +138,15 @@ def test_cluster_bitwise_identical_to_monolith(num_shards, replication,
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=2, max_value=6),
-       st.booleans(),
-       st.integers(min_value=1, max_value=8),
+       st.integers(min_value=9, max_value=20),
        st.integers(min_value=0, max_value=10_000))
-def test_unhedged_fanout_starts_no_thread(num_shards, hedge_enabled,
-                                          queries, seed):
-    """With hedging off, or on but short of the 8-sample warm-up, every
-    shard answers on the caller's thread, bit for bit the monolith."""
+def test_fanout_starts_no_thread(num_shards, queries, seed):
+    """Every shard answers on the caller's thread, bit for bit the
+    monolith, over 9-20 queries with two replicas per shard: history
+    enough that a latency-triggered backup lane would have fired."""
     index, rng = _cluster_world(40, seed)
     cluster = IndexCluster(index, ClusterConfig(
-        num_shards=num_shards, replication=2,
-        hedge_enabled=hedge_enabled))
+        num_shards=num_shards, replication=2))
     starts = []
     original_start = threading.Thread.start
 
@@ -165,3 +163,8 @@ def test_unhedged_fanout_starts_no_thread(num_shards, hedge_enabled,
             assert np.array_equal(ids, result.ids)
             assert distances.tobytes() == result.distances.tobytes()
     assert starts == []
+
+
+def test_hedging_cannot_be_enabled():
+    with pytest.raises(ValueError, match="hedge_enabled"):
+        ClusterConfig(hedge_enabled=True)

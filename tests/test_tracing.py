@@ -3,15 +3,12 @@ tail-based sampling, histogram exemplars, and the critical-path
 analyzer.
 
 Part of tier-1 (``-m trace`` runs it alone, ``make trace-test``).
-Everything here runs on fake clocks and deterministic ids except the
-hedge acceptance scenario, which needs real lane threads racing a
-real straggler delay — its sleeps are tens of milliseconds.
+Everything here runs on fake clocks and deterministic ids.
 """
 
 import json
 import random
 import threading
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -282,14 +279,15 @@ class TestTailSampler:
         assert counter.labels(verdict="evicted").value == 6
 
     def test_late_span_joins_its_kept_trace(self):
-        # A losing hedge lane closes after the request: the span must
-        # ride the already-made verdict, not open a new pending trace.
+        # A compaction span closes after its ingest request: the span
+        # must ride the already-made verdict, not open a new pending
+        # trace.
         sampler = TraceSampler(fraction=1.0)
         sampler.observe(span_record("request", 5, 50))
-        sampler.observe(span_record("hedge", 5, 51, parent_id=50))
+        sampler.observe(span_record("compaction", 5, 51, parent_id=50))
         kept = sampler.get(5)
         assert kept is not None
-        assert {r.name for r in kept.spans} == {"request", "hedge"}
+        assert {r.name for r in kept.spans} == {"request", "compaction"}
         assert sampler.pending_traces() == 0
 
 
@@ -615,70 +613,6 @@ class TestLatencyBudgetAgreement:
         else:
             assert shed.shed_reason == "expired"
             assert from_spans["admit"] >= 0.3
-
-
-# ----------------------------------------------------------------------
-# Acceptance: hedged fan-out is ONE trace including the hedge lane
-# (real clock: lanes race a real straggler delay)
-# ----------------------------------------------------------------------
-class _FireAlways:
-    def __contains__(self, query_id) -> bool:
-        return True
-
-
-class TestHedgeAcceptance:
-    WARMUP = 8
-    DELAY = 0.05
-
-    def test_hedged_request_yields_one_complete_trace(self, world):
-        fault = SlowShard(queries=(), shard_id=0, replica_id=0,
-                          delay=self.DELAY, sleep=time.sleep)
-        dataset, featurizer = world
-        service = ResilientSearchService(
-            make_engine(dataset, featurizer),
-            ServiceConfig(
-                deadline=2.0, admission=AdmissionConfig(),
-                cluster=ClusterConfig(
-                    num_shards=2, replication=2, hedge_enabled=True)),
-            rng=random.Random(0), cluster_faults=fault)
-        ingredients = known_ingredients(service._active.engine, 2)
-        for __ in range(self.WARMUP):
-            assert service.search_by_ingredients(ingredients, k=3).ok
-        fault.queries = _FireAlways()   # straggler from now on
-        response = service.search_by_ingredients(ingredients, k=3)
-        assert response.ok
-        tracer = service.telemetry.tracer
-        root = [r for r in tracer.records()
-                if r.name == "request"][-1]
-        # the losing primary lane may still be sleeping; wait for the
-        # hedge span to land before reconstructing the tree
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            hedges = [r for r in tracer.records()
-                      if r.name == "hedge"
-                      and r.trace_id == root.trace_id]
-            if hedges:
-                break
-            time.sleep(0.005)
-        assert hedges, "hedge lane never fired or never closed"
-        tree = tree_of(tracer, root.trace_id)
-        assert tree.orphans == []        # zero orphan spans
-        assert len(tree.roots) == 1      # ONE trace, one root
-        stages = {c.name: c for c in tree.root.children}
-        assert {"admit", "embed", "index",
-                "materialize"} <= set(stages)
-        assert [c.name for c in stages["admit"].children] == \
-            ["queue_wait"]
-        shard_nodes = [c for c in stages["index"].children
-                       if c.name == "shard_query"]
-        assert sorted(n.record.attributes["shard"]
-                      for n in shard_nodes) == [0, 1]
-        hedge_nodes = [n for n in tree.root.walk()
-                       if n.name == "hedge"]
-        assert len(hedge_nodes) == 1
-        assert hedge_nodes[0].record.parent_id in {
-            n.record.span_id for n in shard_nodes}
-        assert hedge_nodes[0].record.attributes["shard"] == 0
 
 
 # ----------------------------------------------------------------------
