@@ -554,7 +554,7 @@ def _parse_tenant_policy(spec: str):
 
 def _cluster_config(shards: int, replicas: int = 2):
     """``--shards``/``--replicas`` → a cluster topology, or ``None``
-    for the monolithic index."""
+    for the monolith (one shard, one replica)."""
     from .serving import ClusterConfig
 
     if shards <= 1:
@@ -632,13 +632,11 @@ def _command_serve(args) -> int:
     if outcome.error:
         line += f"  [{outcome.error}]"
     print(line)
-    cluster = service.stats().get("cluster")
-    if cluster:
-        for name, info in cluster.items():
-            print(f"  cluster {name}: {info['shards']} shards x "
-                  f"{info['replication']} replicas, "
-                  f"{info['live_replicas']} live, "
-                  f"{info['failovers']} failovers")
+    for name, info in service.stats()["cluster"].items():
+        print(f"  cluster {name}: {info['shards']} shards x "
+              f"{info['replication']} replicas, "
+              f"{info['live_replicas']} live, "
+              f"{info['failovers']} failovers")
     if outcome.stage_ms:
         print("  stages: " + "  ".join(
             f"{stage} {ms:.1f}ms"

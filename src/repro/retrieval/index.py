@@ -25,6 +25,8 @@ every query path.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .distance import (cosine_distance_matrix, cosine_distances_to,
@@ -137,6 +139,19 @@ class NearestNeighborIndex:
                 raise ValueError("relabel must align with positions")
         dup.class_ids = (None if self.class_ids is None
                          else self.class_ids[positions].copy())
+        return dup
+
+    def relabeled(self, ids: np.ndarray) -> "NearestNeighborIndex":
+        """This index under new ``ids``, sharing its rows and classes.
+
+        Nothing is copied, so every distance is this index's own; a
+        one-shard cluster serves its source index this way.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        if len(ids) != len(self):
+            raise ValueError("ids must align with embeddings")
+        dup = copy.copy(self)
+        dup.ids = ids
         return dup
 
     def append_rows(self, rows: np.ndarray, ids: np.ndarray,

@@ -186,11 +186,11 @@ class ServingFault:
         replaces it (poison it here)."""
         return vector
 
-    def on_index_start(self, request_id: int, index) -> None:
-        """Called before the index query with the generation's live
-        :class:`~repro.retrieval.index.NearestNeighborIndex` (may
-        mutate it in place, or trigger out-of-band actions such as a
-        hot-swap)."""
+    def on_index_start(self, request_id: int, cluster) -> None:
+        """Called before the index fan-out with the generation's
+        :class:`~repro.serving.cluster.IndexCluster` for the queried
+        index (may mutate its shards in place, or trigger out-of-band
+        actions such as a hot-swap)."""
 
 
 class ChainedServingFaults(ServingFault):
@@ -209,9 +209,9 @@ class ChainedServingFaults(ServingFault):
             vector = fault.on_embed_result(request_id, vector)
         return vector
 
-    def on_index_start(self, request_id: int, index) -> None:
+    def on_index_start(self, request_id: int, cluster) -> None:
         for fault in self.faults:
-            fault.on_index_start(request_id, index)
+            fault.on_index_start(request_id, cluster)
 
 
 class SlowEmbedFault(ServingFault):
@@ -257,28 +257,24 @@ class NaNEmbedFault(ServingFault):
 
 
 class IndexCorruptionFault(ServingFault):
-    """Overwrite a live index's embeddings with NaN, in place.
+    """Overwrite a live cluster's sealed embeddings with NaN, in place.
 
     The damage is persistent — exactly what a bad memory page or a
     botched refresh looks like — so recovery requires a hot-swap, not
-    a retry.  A cluster has each distinct sealed shard index filled
-    once, which takes down every replica: they share it.  A streaming
-    ingest :class:`~repro.serving.ingest.DeltaOverlay` has its frozen
-    ``base`` filled, where its sealed rows live.
+    a retry.  Each distinct sealed shard index is filled once, which
+    takes down every replica: they share it.  A one-shard cluster
+    shares its rows with the engine's index, so that is filled too.
     """
 
     def __init__(self, requests: Iterable[int]):
         self.requests = {int(r) for r in requests}
         self.fired: list[int] = []
 
-    def on_index_start(self, request_id: int, index) -> None:
+    def on_index_start(self, request_id: int, cluster) -> None:
         if request_id in self.requests:
-            shards = getattr(index, "shards", None)
-            for target in ([getattr(index, "base", index)]
-                           if shards is None else
-                           {rep.index for shard in shards
-                            for rep in shard.replicas}):
-                target.embeddings.fill(np.nan)
+            for sealed in {rep.index for shard in cluster.shards
+                           for rep in shard.replicas}:
+                sealed.embeddings.fill(np.nan)
             self.fired.append(request_id)
 
 
@@ -295,7 +291,7 @@ class SwapMidQueryFault(ServingFault):
         self.trigger = trigger
         self.fired = False
 
-    def on_index_start(self, request_id: int, index) -> None:
+    def on_index_start(self, request_id: int, cluster) -> None:
         if request_id == self.request and not self.fired:
             self.fired = True
             self.trigger()

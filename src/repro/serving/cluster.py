@@ -11,9 +11,9 @@ survivable:
 * **fan-out + exact merge** — a query runs against every shard in
   turn, on the caller's thread; per-shard top-k lists merge into a
   global top-k that is *bitwise identical* to the monolithic index
-  when no faults are active (shard rows are verbatim copies, the
-  query kernel is shape-stable, and the merge reproduces the
-  monolith's tie order);
+  when no faults are active (shard rows are verbatim copies, or with
+  one shard the source rows themselves; the query kernel is
+  shape-stable, and the merge reproduces the monolith's tie order);
 * **failover** — each replica sits behind its own
   :class:`~repro.serving.retry.CircuitBreaker`; dead, tripped, or
   corrupted replicas are skipped and the next live sibling answers;
@@ -182,7 +182,8 @@ class IndexCluster:
     index:
         The monolithic source index.  Its (already normalized) rows
         are copied verbatim into one sealed index per shard, shared by
-        its replicas; the source object is not retained.
+        its replicas.  A one-shard cluster copies nothing: its sealed
+        index shares the source's rows and classes.
     config:
         Topology: shard count and replicas per shard.
     name:
@@ -223,6 +224,9 @@ class IndexCluster:
         # Rows at positions >= _sealed are streamed adds; slot
         # ``position - _sealed`` of the delta segment holds each one.
         self._sealed = len(self._ids)
+        # True only while every sealed row is live: shard scans then
+        # skip the liveness mask.  A delete clears it before the bit.
+        self._sealed_intact = True
         self._segment = np.empty((0, index.embeddings.shape[1]))
         # Serializes writes against each other and anti-entropy passes
         # against each other.  Queries stay lock-free: they snapshot
@@ -241,7 +245,8 @@ class IndexCluster:
             # positions*: the merge tie-breaks and maps back through
             # them, which is what makes the fan-out bit-exact.  Those
             # ids are the shard's positions; its replicas share the index.
-            sealed = index.subset(positions, relabel=positions)
+            sealed = (index.relabeled(positions) if config.num_shards == 1
+                      else index.subset(positions, relabel=positions))
             replicas = []
             for replica_id in range(config.replication):
                 breaker = CircuitBreaker(
@@ -415,19 +420,25 @@ class IndexCluster:
                 raise ValueError(
                     f"position {position} holds item "
                     f"{int(self._ids[position])}, not {item_id}")
+            if position < self._sealed:
+                self._sealed_intact = False
             self._live[position] = False
 
     def live_item_count(self) -> int:
         return int(np.count_nonzero(self._live))
 
-    def retained_bytes(self) -> int:
+    def retained_bytes(self, counted=()) -> int:
         """Bytes held by the shards' sealed index arrays, each distinct
         array once however many replicas share it, plus the cluster's
-        own ids, classes, liveness mask and delta segment."""
+        own ids, classes, liveness mask and delta segment.  Arrays in
+        ``counted`` are skipped: the caller reports them elsewhere (a
+        one-shard cluster shares its source index's rows)."""
+        skip = {id(array) for array in counted}
         sealed = {id(array): array for shard in self.shards
                   for rep in shard.replicas
                   for array in (rep.index.embeddings, rep.index.ids,
-                                rep.index.class_ids, shard.positions)}
+                                rep.index.class_ids, shard.positions)
+                  if id(array) not in skip}
         return ndarray_bytes(*sealed.values(), self._ids, self._class_ids,
                              self._live, self._segment)
 
@@ -510,9 +521,11 @@ class IndexCluster:
         for shard in [] if expired else self.shards:
             with tracer.span("shard_query", cluster=self.name,
                              shard=shard.shard_id) as span:
+                mask = (None if self._sealed_intact
+                        else live[shard.positions])
                 outcome, shard_failovers = self._query_shard(
-                    shard, vector, k, class_id, live[shard.positions],
-                    shard_budget, query_id)
+                    shard, vector, k, class_id, mask, shard_budget,
+                    query_id)
                 span.set_attribute("answered", outcome is not None)
             failovers += shard_failovers
             if outcome is not None:
@@ -555,9 +568,9 @@ class IndexCluster:
     # Per-shard execution: failover
     # ------------------------------------------------------------------
     def _query_shard(self, shard: _Shard, vector, k: int,
-                     class_id: int | None, mask: np.ndarray,
+                     class_id: int | None, mask: np.ndarray | None,
                      budget: Deadline | None, query_id: int):
-        """Walk the shard's masked failover chain on the calling thread.
+        """Walk the shard's failover chain on the calling thread.
 
         Returns ``(answer, failovers)``: the first answer inside the
         carve, or ``None``, and how many replicas were skipped or

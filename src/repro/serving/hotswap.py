@@ -40,19 +40,19 @@ __all__ = ["EngineGeneration", "SwapReport", "run_canaries"]
 class EngineGeneration:
     """One immutable serving generation under a generation id.
 
-    Always carries the engine and its degraded fallback; when the
-    service is configured with ``shards > 1`` it also carries the two
-    sharded clusters (fridge/recipe queries hit the image cluster,
-    image queries the recipe cluster).  Clusters are rebuilt from
-    scratch for every generation — hot-swap replaces the whole
-    topology atomically, replica health included.
+    Carries the engine, its degraded fallback, and the two clusters
+    that serve the engine's indexes (fridge/recipe queries hit the
+    image cluster, image queries the recipe cluster) — one shard with
+    one replica unless the service configures a topology.  Clusters
+    are rebuilt from scratch for every generation — hot-swap replaces
+    the whole topology atomically, replica health included.
     """
 
     generation: int
     engine: RecipeSearchEngine
     fallback: DegradedRanker
-    image_cluster: IndexCluster | None = None
-    recipe_cluster: IndexCluster | None = None
+    image_cluster: IndexCluster
+    recipe_cluster: IndexCluster
 
 
 @dataclass(frozen=True)

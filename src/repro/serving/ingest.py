@@ -9,7 +9,9 @@ the repo's bitwise-exactness discipline:
   :class:`DeltaOverlay` — a tombstone mask over the frozen base
   :class:`~repro.retrieval.index.NearestNeighborIndex` plus an
   append-only block of new rows.
-- Search is an exact base ∪ delta merge: both sides return
+- Search is an exact base ∪ delta merge (served by the cluster's
+  mirror of the overlay; :meth:`DeltaOverlay.query` is the reference
+  it is tested against): both sides return
   ``(distance, merge-key)`` pairs and the cluster's lexsort merge
   (:func:`~repro.serving.sharding.merge_topk`) combines them.  Merge
   keys are order-isomorphic to positions in the *effective* corpus
@@ -356,7 +358,12 @@ class DeltaOverlay:
     def query(self, vector: np.ndarray, k: int = 5,
               class_id: int | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact base ∪ delta top-``k`` as ``(item ids, distances)``."""
+        """Exact base ∪ delta top-``k`` as ``(item ids, distances)``.
+
+        The reference the served path is checked against: the service
+        answers through its :class:`~repro.serving.cluster.IndexCluster`,
+        which mirrors every op as a liveness bit or a delta-segment row.
+        """
         keys, distances = self.query_keys(vector, k, class_id)
         return self.resolve_ids(keys), distances
 

@@ -1,6 +1,6 @@
 """Retry policy and per-dependency circuit breakers.
 
-Transient faults (a NaN embedding, a flaky index read) are retried
+Transient embed faults (a NaN embedding, a flaky model call) are retried
 with exponential backoff plus jitter; *persistent* faults trip a
 circuit breaker so a broken dependency stops eating the request
 budget of every caller.

@@ -14,29 +14,31 @@ production deployment needs:
 * **deadlines** — every request carries a cooperative time budget
   threaded through embed → index → materialize
   (:mod:`~repro.serving.deadline`);
-* **retries + circuit breakers** — transient stage faults retry with
+* **retries + circuit breakers** — transient embed faults retry with
   exponential backoff and jitter; persistent faults trip a
   per-dependency breaker (:mod:`~repro.serving.retry`) so a broken
-  model stops burning everyone's budget;
+  model or index stops burning everyone's budget;
 * **graceful degradation** — with the embed or index stage
   unavailable, requests are answered by the model-free
   :class:`~repro.serving.degraded.DegradedRanker` and marked
   ``degraded=True``;
-* **sharded fan-out** — configured with a ``cluster``, each
-  generation's indexes are served by an
-  :class:`~repro.serving.cluster.IndexCluster` (replicated shards
-  answering in turn on the request thread, failover,
-  anti-entropy); a fan-out that loses
-  shards degrades to a ``partial`` outcome carrying
+* **one index path** — each of a generation's two indexes is served
+  by an :class:`~repro.serving.cluster.IndexCluster`: one shard with
+  one replica over the engine's own index rows by default, or the
+  configured ``cluster`` topology (replicated shards answering in turn
+  on the request thread, failover, anti-entropy).  The index stage is
+  one fan-out with no retry loop; a fan-out that loses shards
+  degrades to a ``partial`` outcome carrying
   ``shards_answered``/``shards_total`` instead of failing;
 * **hot-swap** — :meth:`ResilientSearchService.swap_corpus` builds a
   new corpus+index generation aside, canary-validates it, and swaps a
   single reference under the lock (:mod:`~repro.serving.hotswap`);
 * **streaming ingest** — configured with an ``ingest_log`` directory,
   :meth:`ResilientSearchService.ingest` /
-  :meth:`~ResilientSearchService.delete` append crash-safe WAL records
-  and apply them to a delta overlay merged exactly into every search
-  (:mod:`~repro.serving.ingest`);
+  :meth:`~ResilientSearchService.delete` append crash-safe WAL records,
+  apply them to a delta overlay (:mod:`~repro.serving.ingest`), and
+  mirror them into the clusters' liveness mask and delta segment,
+  which every search merges exactly;
   :meth:`~ResilientSearchService.compact_ingest` folds the deltas into
   a new canary-validated base generation;
 * **outcome records** — every request, including shed and timed-out
@@ -109,12 +111,14 @@ _OUTCOME_LOG_SIZE = 512
 #: Per-request result depth while the brownout ladder's ``shrink_k``
 #: rung is engaged.
 _BROWNOUT_K_CAP = 3
+#: Cluster topology when the config names none: the monolith.
+_ONE_SHARD = ClusterConfig(num_shards=1, replication=1)
 
 
 class _StageUnavailable(RuntimeError):
     """Internal: a resilient stage gave up (breaker open, retries
-    exhausted, or its budget slice drained); triggers the degraded
-    fallback rather than failing the request."""
+    exhausted, no shard answered, or its budget slice drained);
+    triggers the degraded fallback rather than failing the request."""
 
     def __init__(self, stage: str, reason: str):
         super().__init__(f"{stage} unavailable: {reason}")
@@ -170,9 +174,9 @@ class ServiceConfig:
     admission: AdmissionConfig = field(
         default_factory=lambda: AdmissionConfig.static(8))
     degraded_enabled: bool = True
-    #: When given, each generation's indexes are served by an
-    #: :class:`~repro.serving.cluster.IndexCluster` with this topology;
-    #: ``None`` keeps the monolithic single-index path.
+    #: Topology of the :class:`~repro.serving.cluster.IndexCluster`
+    #: serving each generation's indexes; ``None`` is one shard with
+    #: one replica that shares the engine index's rows.
     cluster: ClusterConfig | None = None
 
 
@@ -193,7 +197,8 @@ class RequestOutcome:
     #: child spans (admit / embed / index / materialize / degraded).
     #: Stages a request never reached are absent.
     stage_ms: dict = field(default_factory=dict)
-    #: Cluster fan-out coverage; ``None`` outside the cluster path.
+    #: Cluster fan-out coverage; ``None`` on requests the index stage
+    #: did not answer (degraded, shed, timed-out, invalid or failed).
     #: ``shards_answered < shards_total`` is exactly the ``partial``
     #: status: the answer covers only the shards that made it.
     shards_total: int | None = None
@@ -281,8 +286,7 @@ class ResilientSearchService:
         object; production passes ``None``.
     cluster_faults:
         Optional :class:`~repro.robustness.faults.ClusterFault` hook
-        object threaded into every generation's clusters (only
-        meaningful with a ``cluster`` config).
+        object threaded into every generation's clusters.
     telemetry:
         Optional shared :class:`~repro.obs.Telemetry`.  A private
         in-memory instance (on the service clock) is created when
@@ -298,8 +302,8 @@ class ResilientSearchService:
         When given, the service boots by *recovering* from it — folded
         base snapshot (if a compaction committed) plus log replay —
         and exposes :meth:`ingest` / :meth:`delete` /
-        :meth:`compact_ingest`.  Search then runs over the exact
-        base ∪ delta merge.  Without it, the ingest entry points
+        :meth:`compact_ingest`.  Search then runs over the clusters'
+        exact base ∪ delta merge.  Without it, the ingest entry points
         answer ``unavailable``.
     ingest_config:
         Optional :class:`~repro.serving.ingest.IngestConfig` (fsync
@@ -413,22 +417,19 @@ class ResilientSearchService:
         admission queue, outcome logs.  Every reporter reads the
         *current* generation through ``self`` so hot-swaps are
         reflected without re-registration."""
-        def index_bytes() -> dict:
-            engine = self._active.engine
-            return {
-                "image": ndarray_bytes(engine.image_index.embeddings,
-                                       engine.image_index.ids,
-                                       engine.image_index.class_ids),
-                "recipe": ndarray_bytes(engine.recipe_index.embeddings,
-                                        engine.recipe_index.ids,
-                                        engine.recipe_index.class_ids),
-            }
+        def index_arrays(which: str) -> tuple:
+            index = getattr(self._active.engine, f"{which}_index")
+            return index.embeddings, index.ids, index.class_ids
 
-        self.memory.register("index", index_bytes)
-        if self._config.cluster is not None:
-            self.memory.register("cluster", lambda: {
-                "image": self._active.image_cluster.retained_bytes(),
-                "recipe": self._active.recipe_cluster.retained_bytes()})
+        # A one-shard cluster shares the engine index's rows; the
+        # ledger counts them once, under ``index``.
+        self.memory.register("index", lambda: {
+            which: ndarray_bytes(*index_arrays(which))
+            for which in ("image", "recipe")})
+        self.memory.register("cluster", lambda: {
+            which: getattr(self._active, f"{which}_cluster")
+            .retained_bytes(counted=index_arrays(which))
+            for which in ("image", "recipe")})
         if self.ingestor is not None:
             self.memory.register("overlay", lambda: sum(
                 overlay.retained_bytes()
@@ -605,11 +606,9 @@ class ResilientSearchService:
     def _make_generation(self, generation: int,
                          engine: RecipeSearchEngine) -> EngineGeneration:
         """Assemble one serving generation: engine + fallback, plus
-        fresh clusters over both indexes when sharding is on."""
+        fresh clusters over both indexes."""
         fallback = DegradedRanker(engine.dataset, engine.corpus)
-        cluster_config = self._config.cluster
-        if cluster_config is None:
-            return EngineGeneration(generation, engine, fallback)
+        cluster_config = self._config.cluster or _ONE_SHARD
         return EngineGeneration(
             generation, engine, fallback,
             image_cluster=IndexCluster(
@@ -781,11 +780,10 @@ class ResilientSearchService:
                               "self_overhead")}
         if self.ingestor is not None:
             stats["ingest"] = self.ingestor.status()
-        if active.image_cluster is not None:
-            stats["cluster"] = {
-                "image": active.image_cluster.describe(),
-                "recipe": active.recipe_cluster.describe(),
-            }
+        stats["cluster"] = {
+            "image": active.image_cluster.describe(),
+            "recipe": active.recipe_cluster.describe(),
+        }
         return stats
 
     # ------------------------------------------------------------------
@@ -857,19 +855,17 @@ class ResilientSearchService:
                                 generation, request_id, embed, budget,
                                 trace)
                         with self._stage_span("index", budget):
-                            rows, distances, fan_out = self._index_stage(
+                            fan_out = self._index_stage(
                                 generation, request_id, vector,
                                 k_effective, class_id, which_index,
                                 budget)
-                        status = ("partial"
-                                  if fan_out is not None and fan_out.partial
-                                  else "ok")
+                        rows, distances = fan_out.ids, fan_out.distances
+                        status = "partial" if fan_out.partial else "ok"
                         # Feed the drift monitor from the healthy
                         # path only — degraded answers have no model
                         # geometry to judge.
                         self.drift.observe_query(vector, distances)
                     except _StageUnavailable as exc:
-                        fan_out = None
                         budget.check("degraded-fallback")
                         if not self._config.degraded_enabled:
                             return self._finish(
@@ -983,74 +979,21 @@ class ResilientSearchService:
 
     def _index_stage(self, generation: EngineGeneration, request_id: int,
                      vector: np.ndarray, k: int, class_id: int | None,
-                     which_index: str, budget: Deadline
-                     ) -> tuple[np.ndarray, np.ndarray,
-                                ClusterResult | None]:
-        """Index query with retries behind the index breaker.
+                     which_index: str, budget: Deadline) -> ClusterResult:
+        """One fan-out through the generation's cluster, behind the
+        index breaker.
 
-        Non-finite distances (a corrupted index) count as failures;
-        FP warnings are contained here on purpose — the guard *is* the
-        containment.  With sharding on, the query fans out through the
-        generation's :class:`IndexCluster` instead and the returned
-        :class:`ClusterResult` reports shard coverage (``None`` on the
-        monolithic path).
+        No retry loop: the cluster already failed over through every
+        live replica of every shard, and no index fault is transient
+        (a corrupted index stays corrupted), so a second pass could
+        only re-run the identical chain.  The breaker watches
+        whole-fan-out health — a fan-out no shard answers (non-finite
+        distances included) is a dependency failure; one that lost
+        *some* shards still answered (the partial contract) and counts
+        as a success.
         """
         cluster = (generation.image_cluster if which_index == "image"
                    else generation.recipe_cluster)
-        if cluster is not None:
-            return self._cluster_stage(cluster, request_id, vector, k,
-                                       class_id, budget)
-        breaker = self.index_breaker
-        policy = self._config.retry
-        if self.ingestor is not None:
-            # The overlay answers the exact base ∪ delta merge with the
-            # same query() signature as the monolithic index.
-            index = self.ingestor.overlays[which_index]
-        else:
-            index = (generation.engine.image_index
-                     if which_index == "image"
-                     else generation.engine.recipe_index)
-        last = "no attempts made"
-        for attempt in range(policy.max_attempts):
-            budget.check("index")
-            if not breaker.allow():
-                raise _StageUnavailable("index", "circuit open")
-            self._m_attempts.labels(stage="index").inc()
-            try:
-                if self._faults is not None:
-                    self._faults.on_index_start(request_id, index)
-                with np.errstate(all="ignore"):
-                    rows, distances = index.query(vector, k=k,
-                                                  class_id=class_id)
-            except ValueError:
-                raise
-            except Exception as exc:
-                breaker.record_failure()
-                last = f"{type(exc).__name__}: {exc}"
-            else:
-                if np.all(np.isfinite(distances)):
-                    breaker.record_success()
-                    return rows, distances, None
-                breaker.record_failure()
-                last = "non-finite distances from index"
-            budget.check("index")
-            if attempt + 1 < policy.max_attempts:
-                self._sleep(budget.clamp(policy.delay(attempt, self._rng)))
-        raise _StageUnavailable("index", f"retries exhausted ({last})")
-
-    def _cluster_stage(self, cluster: IndexCluster, request_id: int,
-                       vector: np.ndarray, k: int,
-                       class_id: int | None, budget: Deadline
-                       ) -> tuple[np.ndarray, np.ndarray, ClusterResult]:
-        """One fan-out through the generation's cluster.
-
-        No service-level retry loop: the cluster already failed over
-        through every live replica of every shard, so a second pass
-        could only re-run the identical chain.  The index breaker
-        watches whole-fan-out health — a fan-out no shard answers is a
-        dependency failure; one that lost *some* shards still answered
-        (the partial contract) and counts as a success.
-        """
         breaker = self.index_breaker
         if not breaker.allow():
             raise _StageUnavailable("index", "circuit open")
@@ -1065,7 +1008,7 @@ class ResilientSearchService:
                 "index",
                 f"no shards answered (0/{result.shards_total})")
         breaker.record_success()
-        return result.ids, result.distances, result
+        return result
 
     # ------------------------------------------------------------------
     # Streaming ingest — never raises for operational faults
@@ -1256,9 +1199,7 @@ class ResilientSearchService:
     def _apply_replayed_to_clusters(self, generation: EngineGeneration,
                                     op: IngestOp, key: int,
                                     replaced_key: int | None) -> None:
-        """Mirror one acknowledged delta into the sharded clusters."""
-        if generation.image_cluster is None:
-            return
+        """Mirror one acknowledged delta into the clusters."""
         clusters = {"image": generation.image_cluster,
                     "recipe": generation.recipe_cluster}
         for name, cluster in clusters.items():
@@ -1280,8 +1221,6 @@ class ResilientSearchService:
         then adds keyed by their overlay slots, which ``apply_add``
         gap-fills past dead slots).
         """
-        if generation.image_cluster is None:
-            return
         clusters = {"image": generation.image_cluster,
                     "recipe": generation.recipe_cluster}
         for name, cluster in clusters.items():

@@ -53,6 +53,8 @@ def partition_positions(ids: np.ndarray,
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
+    if num_shards == 1:
+        return [np.arange(len(ids))]
     assignment = stable_hash64(ids) % np.uint64(num_shards)
     return [np.flatnonzero(assignment == np.uint64(shard))
             for shard in range(num_shards)]

@@ -269,13 +269,13 @@ class TestStructuredOutcomes:
         assert stats["statuses"] == {"shed": 5}
         assert len(service.outcomes) == 5
 
+    # A fan-out records one breaker failure and has no retry loop, so
+    # the threshold of 3 takes two follow-ups to reach; the monolith is
+    # a one-shard cluster, with or without streaming ingest.
     @pytest.mark.parametrize("cluster, follow_ups, ingest", [
-        (None, 1, False),
-        # A fan-out records one breaker failure and has no retry loop,
-        # so the threshold of 3 takes two follow-ups to reach.
+        (None, 2, False),
         (ClusterConfig(num_shards=2, replication=2), 2, False),
-        # Streaming ingest serves the monolith through a DeltaOverlay.
-        (None, 1, True),
+        (None, 2, True),
     ], ids=["monolith", "cluster", "monolith-ingest"])
     def test_index_corruption_degrades_then_swap_recovers(
             self, world, tmp_path, cluster, follow_ups, ingest):

@@ -244,7 +244,31 @@ class TestClusteredService:
                 == [r.distance for r in b.results])
         assert b.outcome.shards_total == 3
         assert b.outcome.shards_answered == 3
-        assert a.outcome.shards_total is None  # monolithic path
+        assert a.outcome.shards_total == 1  # the monolith: one shard
+
+    def test_monolith_serves_through_shared_one_shard_cluster(self, world):
+        dataset, featurizer = world
+        clock = FakeClock()
+        service = ResilientSearchService(
+            make_engine(dataset, featurizer), ServiceConfig(),
+            clock=clock, sleep=clock.sleep)
+        engine = service._active.engine
+        cluster = service._active.image_cluster
+        assert [len(shard.replicas) for shard in cluster.shards] == [1]
+        sealed = cluster.shards[0].replicas[0].index
+        assert sealed.embeddings is engine.image_index.embeddings
+        assert sealed.class_ids is engine.image_index.class_ids
+        ingredients = known_ingredients(engine, 2)
+        for class_name in (None, engine.dataset.taxonomy.classes[0].name):
+            response = service.search_by_ingredients(
+                ingredients, k=10, class_name=class_name)
+            assert response.outcome.status == "ok"
+            ids, distances = engine.image_index.query(
+                engine.embed_ingredients(ingredients), k=10,
+                class_id=engine.resolve_class(class_name))
+            assert [r.corpus_row for r in response.results] == ids.tolist()
+            served = np.array([r.distance for r in response.results])
+            assert served.tobytes() == distances.tobytes()
 
     def test_partial_outcome_on_shard_loss(self, world):
         dataset, featurizer = world
@@ -276,11 +300,12 @@ class TestClusteredService:
         assert stats["cluster"]["image"]["shards"] == 2
         assert stats["cluster"]["image"]["replication"] == 3
         assert stats["cluster"]["recipe"]["live_replicas"] == 6
-        # The monolithic configuration must not grow the key.
+        # The monolith is a one-shard, one-replica cluster.
         mono = ResilientSearchService(
             make_engine(dataset, featurizer), ServiceConfig(),
             clock=clock, sleep=clock.sleep)
-        assert "cluster" not in mono.stats()
+        topology = mono.stats()["cluster"]["image"]
+        assert (topology["shards"], topology["replication"]) == (1, 1)
 
     def test_hot_swap_rebuilds_cluster(self, world):
         dataset, featurizer = world
@@ -360,27 +385,43 @@ class TestClusteredService:
                                                        tmp_path):
         dataset, featurizer = world
         clock = FakeClock()
-        service = ResilientSearchService(
-            make_engine(dataset, featurizer),
-            ServiceConfig(cluster=ClusterConfig(num_shards=2,
-                                                replication=2)),
-            clock=clock, sleep=clock.sleep, ingest_log=tmp_path / "wal",
-            ingest_config=IngestConfig(compact_at_delta_rows=None))
-        assert service.ingest(list(dataset.split("train"))[0]).ok
-        components = service.stats()["memory"]["components"]
-        for name in ("image", "recipe"):
-            cluster = getattr(service._active, f"{name}_cluster")
-            assert len(cluster._segment) == 1
-            arrays = [cluster._ids, cluster._class_ids, cluster._live,
-                      cluster._segment]
-            # Each distinct array once: replicas share their shard's
-            # sealed index, whose ids are the shard's positions.
-            sealed = {}
-            for shard in cluster.shards:
-                for rep in shard.replicas:
-                    for array in (shard.positions, rep.index.embeddings,
-                                  rep.index.ids, rep.index.class_ids):
-                        sealed[id(array)] = array
-            arrays += list(sealed.values())
-            expected = sum(a.nbytes for a in arrays if a is not None)
-            assert components[f"cluster.{name}"] == expected
+        # 2 shards x 2 replicas, then the 1 x 1 monolith.
+        for cluster_config in (ClusterConfig(num_shards=2, replication=2),
+                               None):
+            service = ResilientSearchService(
+                make_engine(dataset, featurizer),
+                ServiceConfig(cluster=cluster_config),
+                clock=clock, sleep=clock.sleep,
+                ingest_log=tmp_path / f"wal-{cluster_config is None}",
+                ingest_config=IngestConfig(compact_at_delta_rows=None))
+            assert service.ingest(list(dataset.split("train"))[0]).ok
+            components = service.stats()["memory"]["components"]
+            for name in ("image", "recipe"):
+                index = getattr(service._active.engine, f"{name}_index")
+                counted = {id(a): a for a in (index.embeddings, index.ids,
+                                              index.class_ids)}
+                assert components[f"index.{name}"] == sum(
+                    a.nbytes for a in counted.values() if a is not None)
+                cluster = getattr(service._active, f"{name}_cluster")
+                assert len(cluster._segment) == 1
+                arrays = [cluster._ids, cluster._class_ids, cluster._live,
+                          cluster._segment]
+                # Each distinct array once: replicas share their shard's
+                # sealed index, whose ids are the shard's positions, and
+                # a one-shard index shares the engine index's rows,
+                # which the ledger counts under ``index`` only.
+                sealed = {}
+                for shard in cluster.shards:
+                    for rep in shard.replicas:
+                        for array in (shard.positions,
+                                      rep.index.embeddings, rep.index.ids,
+                                      rep.index.class_ids):
+                            if id(array) not in counted:
+                                sealed[id(array)] = array
+                if cluster_config is None:
+                    assert (cluster.shards[0].replicas[0].index.embeddings
+                            is index.embeddings)
+                arrays += list(sealed.values())
+                expected = sum(a.nbytes for a in arrays if a is not None)
+                assert components[f"cluster.{name}"] == expected
+            service.ingestor.close()
