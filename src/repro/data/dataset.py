@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from .classes import ClassTaxonomy
@@ -89,12 +87,6 @@ class RecipeDataset:
              for name, rows in self.splits.items()},
             self.taxonomy, self.lexicon)
         return cleaned, report
-
-    def class_distribution(self, split: str = "train") -> dict[int, int]:
-        """Observed label counts over the labeled half of a split."""
-        counts = Counter(
-            r.class_id for r in self.split(split) if r.is_labeled)
-        return dict(counts)
 
     def labeled_fraction(self, split: str = "train") -> float:
         recipes = self.split(split)

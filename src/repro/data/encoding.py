@@ -252,5 +252,4 @@ class RecipeFeaturizer:
             dim=meta["sentence_dim"])
         featurizer.sentence_encoder.projection = arrays[
             "sentence_projection"]
-        featurizer.sentence_encoder._fitted = True
         return featurizer

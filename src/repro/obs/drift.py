@@ -342,12 +342,6 @@ class DriftMonitor:
                                          live[name])
         return out
 
-    def max_score(self) -> float:
-        """Worst PSI across signals — what the drift SLO watches."""
-        values = [v for v in self.scores().values()
-                  if math.isfinite(v)]
-        return max(values) if values else float("nan")
-
     def _export(self) -> None:
         scores = self.scores()
         if self._m_score is not None:

@@ -159,10 +159,6 @@ class MemoryLedger:
         with self._lock:
             return list(self._reporters)
 
-    def mark_baseline(self) -> None:
-        """Re-anchor the RSS-growth baseline at the current RSS."""
-        self._baseline_rss = rss_bytes()
-
     # -- tracemalloc (optional, costs memory while enabled) -------------
     def enable_tracemalloc(self, frames: int = 1) -> bool:
         """Start allocation tracing and record the delta baseline."""

@@ -199,7 +199,7 @@ class NearestNeighborIndex:
 
         This is the upper bound on how many results :meth:`query` can
         return for that constraint; callers needing exactly ``k``
-        results should check it (or pass ``strict=True``).
+        results should check it.
         """
         if class_id is None:
             return len(self.embeddings)
@@ -208,7 +208,6 @@ class NearestNeighborIndex:
         return int(np.count_nonzero(self.class_ids == class_id))
 
     def _candidates(self, k: int, class_id: int | None,
-                    strict: bool,
                     mask: np.ndarray | None = None) -> np.ndarray:
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -222,14 +221,10 @@ class NearestNeighborIndex:
             if len(mask) != len(self.embeddings):
                 raise ValueError("mask must align with embeddings")
             candidates = candidates[mask[candidates]]
-        if strict and candidates.size < k:
-            raise ValueError(
-                f"k={k} exceeds the candidate pool of {candidates.size}"
-                + ("" if class_id is None else f" for class {class_id}"))
         return candidates
 
     def query(self, vector: np.ndarray, k: int = 5,
-              class_id: int | None = None, strict: bool = False,
+              class_id: int | None = None,
               mask: np.ndarray | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
         """Top-``k`` ``(ids, distances)`` for one query vector.
@@ -241,8 +236,7 @@ class NearestNeighborIndex:
         the candidate count for the constraint (see
         :meth:`pool_size`) — a class-filtered pool smaller than ``k``
         yields fewer results rather than padding with junk; an *empty*
-        pool yields an empty pair.  Pass ``strict=True`` to raise
-        :class:`ValueError` instead whenever ``k`` exceeds the pool.
+        pool yields an empty pair.
 
         Results come in ``(distance, position)`` order: equal
         distances resolve to the lower row, and NaN distances sort
@@ -255,12 +249,11 @@ class NearestNeighborIndex:
         tombstoned base rows without touching the frozen arrays).
         """
         candidates, distances = self.query_positions(
-            vector, k=k, class_id=class_id, strict=strict, mask=mask)
+            vector, k=k, class_id=class_id, mask=mask)
         return self.ids[candidates], distances
 
     def query_positions(self, vector: np.ndarray, k: int = 5,
                         class_id: int | None = None,
-                        strict: bool = False,
                         mask: np.ndarray | None = None
                         ) -> tuple[np.ndarray, np.ndarray]:
         """Top-``k`` ``(row positions, distances)`` for one vector.
@@ -276,7 +269,7 @@ class NearestNeighborIndex:
         class filter gathers its rows first, since a class is a small
         share of the index.
         """
-        candidates = self._candidates(k, class_id, strict, mask=mask)
+        candidates = self._candidates(k, class_id, mask=mask)
         if class_id is not None:
             return top_k(self.embeddings[candidates], candidates, vector,
                          k)
@@ -287,7 +280,7 @@ class NearestNeighborIndex:
         return candidates[order], distances[order]
 
     def query_batch(self, vectors: np.ndarray, k: int = 5,
-                    class_id: int | None = None, strict: bool = False,
+                    class_id: int | None = None,
                     mask: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-``k`` for a whole batch of queries in one matmul.
@@ -297,14 +290,13 @@ class NearestNeighborIndex:
         :meth:`query` gives for ``vectors[b]`` (distances may differ in
         the last ulp: the batched path trades the shape-stable kernel
         for one BLAS call over all queries).  Pool semantics match
-        :meth:`query`: an empty pool yields ``(B, 0)`` arrays unless
-        ``strict``.
+        :meth:`query`: an empty pool yields ``(B, 0)`` arrays.
         """
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise ValueError(
                 f"vectors must be 2-D (batch, dim); got {vectors.shape}")
-        candidates = self._candidates(k, class_id, strict, mask=mask)
+        candidates = self._candidates(k, class_id, mask=mask)
         if candidates.size == 0:
             return (np.empty((len(vectors), 0), dtype=np.int64),
                     np.empty((len(vectors), 0), dtype=np.float64))

@@ -161,15 +161,6 @@ class HealthMonitor:
         """Whether every parameter is still finite."""
         return all(np.isfinite(param.data).all() for param in params)
 
-    @staticmethod
-    def embeddings_healthy(*embeddings) -> bool:
-        """Whether every embedding array/tensor is finite."""
-        for emb in embeddings:
-            data = emb.data if hasattr(emb, "data") else np.asarray(emb)
-            if not np.isfinite(data).all():
-                return False
-        return True
-
     def note_rollback(self) -> None:
         self.rollbacks += 1
         self._emit("rollback", {"rollbacks": self.rollbacks})

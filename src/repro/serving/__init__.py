@@ -49,10 +49,10 @@ from .gateway import (SHED_STATUS_CODES, STATUS_CODES, BadRequest,
                       normalize_search_request, parse_deadline_header,
                       query_fingerprint)
 from .hotswap import EngineGeneration, SwapReport, run_canaries
-from .ingest import (CompactionReport, CompactionThread, CompactionTicket,
-                     DeltaOverlay, IngestAck, IngestConfig, IngestError,
-                     IngestOp, Ingestor, payload_to_recipe,
-                     recipe_to_payload, scan_log)
+from .ingest import (CompactionReport, CompactionTicket, DeltaOverlay,
+                     IngestAck, IngestConfig, IngestError, IngestOp,
+                     Ingestor, payload_to_recipe, recipe_to_payload,
+                     scan_log)
 from .loadgen import (GOOD_STATUSES, HttpRequester, LoadGenerator,
                       LoadReport, TenantLoad, TenantReport)
 from .retry import CircuitBreaker, CircuitState, RetryPolicy
@@ -77,8 +77,7 @@ __all__ = [
     "DeltaLog", "LogPosition", "LogRecovery",
     "IngestError", "IngestConfig", "IngestOp", "IngestAck",
     "DeltaOverlay", "Ingestor", "CompactionTicket", "CompactionReport",
-    "CompactionThread", "scan_log", "recipe_to_payload",
-    "payload_to_recipe",
+    "scan_log", "recipe_to_payload", "payload_to_recipe",
     "CRITICALITIES", "SHED_REASONS", "BROWNOUT_LADDER",
     "TenantPolicy", "BrownoutConfig", "AdmissionConfig",
     "AdmissionDecision", "TokenBucket", "FairQueue",

@@ -67,9 +67,16 @@ CRITICALITIES = ("user", "background")
 SHED_REASONS = ("rate_limit", "queue_full", "expired", "brownout",
                 "inflight_limit")
 
-#: The default degradation ladder, cheapest mechanism first.  Level 0
+#: The degradation ladder, cheapest mechanism first.  Level 0
 #: ("full") is implicit; engaging steps right, releasing steps left.
 BROWNOUT_LADDER = ("shrink_k", "degraded", "shed_background")
+
+#: Slot-wait poll period of a queued request, in seconds.
+_POLL_INTERVAL_S = 0.002
+#: AIMD steps: above the p95 target the limit is multiplied by
+#: ``_DECREASE_FACTOR``; at or below it, it grows by ``_INCREASE_STEP``.
+_DECREASE_FACTOR = 0.7
+_INCREASE_STEP = 1.0
 
 #: Fair-queue weight of a tenant with no configured policy.
 _DEFAULT_WEIGHT = 1.0
@@ -110,19 +117,17 @@ class BrownoutConfig:
     Pressure is demand/limit from the admission controller; 1.0 means
     running exactly at the concurrency limit with an empty queue.
     ``engage_pressure`` must exceed ``release_pressure`` to give the
-    ladder hysteresis.  Dwell times gate *each* step so one pressure
-    blip cannot run the whole ladder.
+    ladder hysteresis.  Dwell times gate *each* step of
+    :data:`BROWNOUT_LADDER` so one pressure blip cannot run the whole
+    ladder.
     """
 
     engage_pressure: float = 1.5
     release_pressure: float = 0.8
     dwell_s: float = 0.25          # sustained-hot time per engage step
     release_dwell_s: float = 0.5   # sustained-cool time per release step
-    ladder: tuple[str, ...] = BROWNOUT_LADDER
 
     def __post_init__(self):
-        if not self.ladder:
-            raise ValueError("ladder must name at least one mechanism")
         if self.engage_pressure <= self.release_pressure:
             raise ValueError("engage_pressure must exceed "
                              "release_pressure (hysteresis)")
@@ -134,7 +139,6 @@ class AdmissionConfig:
 
     tenants: tuple[TenantPolicy, ...] = ()
     max_queue_depth: int = 64      # per tenant; 0 sheds instead of queueing
-    poll_interval_s: float = 0.002  # slot-wait poll period
     # -- adaptive concurrency (AIMD) --------------------------------
     initial_limit: int = 8
     min_limit: int = 2
@@ -142,8 +146,6 @@ class AdmissionConfig:
     #: Request-latency p95 target steering the limiter; defaults to
     #: the same figure as the default serving latency SLO.
     target_p95_s: float = DEFAULT_STAGE_P99_S
-    decrease_factor: float = 0.7
-    increase_step: float = 1.0
     evaluate_every: int = 16       # completions between AIMD steps
     latency_window: int = 128      # completions kept for the p95
     brownout: BrownoutConfig = field(default_factory=BrownoutConfig)
@@ -154,8 +156,6 @@ class AdmissionConfig:
                              "<= max_limit")
         if self.max_queue_depth < 0:
             raise ValueError("max_queue_depth must be >= 0")
-        if not 0.0 < self.decrease_factor < 1.0:
-            raise ValueError("decrease_factor must be in (0, 1)")
 
     @classmethod
     def static(cls, limit: int) -> "AdmissionConfig":
@@ -163,8 +163,8 @@ class AdmissionConfig:
         the rest shed at once with reason ``inflight_limit``.
 
         AIMD cannot move a limit pinned at floor = ceiling, and the
-        default brownout ladder never engages: with no queue, pressure
-        is inflight / limit <= 1, below its ``engage_pressure`` of 1.5.
+        brownout ladder never engages: with no queue, pressure is
+        inflight / limit <= 1, below its ``engage_pressure`` of 1.5.
         """
         return cls(max_queue_depth=0, initial_limit=limit,
                    min_limit=limit, max_limit=limit)
@@ -370,8 +370,9 @@ class AdaptiveLimiter:
 
     Every completion reports its latency; every ``evaluate_every``
     completions the recent p95 is compared with ``target_p95_s`` —
-    above target the limit multiplies down by ``decrease_factor``,
-    at-or-below it creeps up by ``increase_step`` — clamped to
+    above target the limit multiplies down by 0.7
+    (``_DECREASE_FACTOR``), at-or-below it creeps up by 1
+    (``_INCREASE_STEP``) — clamped to
     ``[min_limit, max_limit]``.  Timeouts report their full deadline
     as latency, so a backend that stops answering still drives the
     limit down.  Not thread-safe on its own; the admission controller
@@ -404,10 +405,10 @@ class AdaptiveLimiter:
         before = self.limit
         if self.last_p95 > self._config.target_p95_s:
             self._limit = max(float(self._config.min_limit),
-                              self._limit * self._config.decrease_factor)
+                              self._limit * _DECREASE_FACTOR)
         else:
             self._limit = min(float(self._config.max_limit),
-                              self._limit + self._config.increase_step)
+                              self._limit + _INCREASE_STEP)
         return self.limit != before
 
 
@@ -415,7 +416,7 @@ class AdaptiveLimiter:
 # Brownout ladder
 # ----------------------------------------------------------------------
 class BrownoutController:
-    """Step a declarative degradation ladder under sustained pressure.
+    """Step :data:`BROWNOUT_LADDER` under sustained pressure.
 
     Level 0 is full quality; level ``i`` activates the first ``i``
     mechanisms of the ladder.  Engaging requires pressure at or above
@@ -458,12 +459,12 @@ class BrownoutController:
     def level_name(self) -> str:
         with self._lock:
             return ("full" if self._level == 0
-                    else self.config.ladder[self._level - 1])
+                    else BROWNOUT_LADDER[self._level - 1])
 
     def active(self, mechanism: str) -> bool:
         """Is the named ladder mechanism currently engaged?"""
         try:
-            position = self.config.ladder.index(mechanism) + 1
+            position = BROWNOUT_LADDER.index(mechanism) + 1
         except ValueError:
             return False
         with self._lock:
@@ -482,17 +483,17 @@ class BrownoutController:
                 if self._hot_since is None:
                     self._hot_since = now
                 elif (now - self._hot_since >= config.dwell_s
-                        and self._level < len(config.ladder)):
+                        and self._level < len(BROWNOUT_LADDER)):
                     self._level += 1
                     self._hot_since = now  # re-arm dwell per step
-                    step = ("engage", config.ladder[self._level - 1])
+                    step = ("engage", BROWNOUT_LADDER[self._level - 1])
             elif cool:
                 self._hot_since = None
                 if self._cool_since is None:
                     self._cool_since = now
                 elif (now - self._cool_since >= config.release_dwell_s
                         and self._level > 0):
-                    step = ("release", config.ladder[self._level - 1])
+                    step = ("release", BROWNOUT_LADDER[self._level - 1])
                     self._level -= 1
                     self._cool_since = now
             else:
@@ -513,7 +514,7 @@ class BrownoutController:
                     "brownout", direction=direction, step=mechanism,
                     level=level, pressure=pressure,
                     level_name=("full" if level == 0
-                                else self.config.ladder[level - 1]),
+                                else BROWNOUT_LADDER[level - 1]),
                     level_word="warn" if direction == "engage"
                     else "info")
         return level
@@ -725,7 +726,7 @@ class AdmissionController:
                     False, tenant, criticality, reason="expired",
                     detail="deadline expired while waiting in the "
                            "admission queue")
-            self._sleep(self.config.poll_interval_s)
+            self._sleep(_POLL_INTERVAL_S)
 
     def release(self, latency_s: float) -> None:
         """One admitted request finished; feed AIMD, hand off slots."""

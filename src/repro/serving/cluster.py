@@ -217,9 +217,10 @@ class IndexCluster:
         self._faults = faults
         self.telemetry = telemetry or Telemetry(clock=clock)
         self._setup_metrics()
-        self._ids = index.ids.copy()
-        self._class_ids = (None if index.class_ids is None
-                           else index.class_ids.copy())
+        # Shared with the source index, never written: ``apply_add``
+        # writes only streamed positions, into arrays it has regrown.
+        self._ids = index.ids
+        self._class_ids = index.class_ids
         self._live = np.ones(len(self._ids), dtype=bool)
         # Rows at positions >= _sealed are streamed adds; slot
         # ``position - _sealed`` of the delta segment holds each one.
@@ -428,19 +429,21 @@ class IndexCluster:
         return int(np.count_nonzero(self._live))
 
     def retained_bytes(self, counted=()) -> int:
-        """Bytes held by the shards' sealed index arrays, each distinct
-        array once however many replicas share it, plus the cluster's
-        own ids, classes, liveness mask and delta segment.  Arrays in
-        ``counted`` are skipped: the caller reports them elsewhere (a
-        one-shard cluster shares its source index's rows)."""
+        """Bytes held by the shards' sealed index arrays and the
+        cluster's ids, classes, liveness mask and delta segment, each
+        distinct array once however many replicas share it.  Arrays in
+        ``counted`` are skipped: the caller reports them elsewhere (the
+        cluster shares its source index's ids and classes until the
+        first streamed add, and a one-shard cluster its rows too)."""
         skip = {id(array) for array in counted}
-        sealed = {id(array): array for shard in self.shards
-                  for rep in shard.replicas
-                  for array in (rep.index.embeddings, rep.index.ids,
-                                rep.index.class_ids, shard.positions)
-                  if id(array) not in skip}
-        return ndarray_bytes(*sealed.values(), self._ids, self._class_ids,
-                             self._live, self._segment)
+        arrays = [self._ids, self._class_ids, self._live, self._segment]
+        arrays += [array for shard in self.shards
+                   for rep in shard.replicas
+                   for array in (rep.index.embeddings, rep.index.ids,
+                                 rep.index.class_ids, shard.positions)]
+        distinct = {id(array): array for array in arrays
+                    if id(array) not in skip}
+        return ndarray_bytes(*distinct.values())
 
     def describe(self) -> dict:
         """Topology + health snapshot; per-shard ``items`` are sealed rows."""
@@ -468,8 +471,7 @@ class IndexCluster:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _validate(self, live: np.ndarray, k: int, class_id: int | None,
-                  strict: bool) -> None:
+    def _validate(self, k: int, class_id: int | None) -> None:
         """Caller-contract checks, synchronous and fan-out-free, so
         invalid queries raise :class:`ValueError` exactly like the
         monolithic index."""
@@ -477,18 +479,9 @@ class IndexCluster:
             raise ValueError("k must be >= 1")
         if class_id is not None and self._class_ids is None:
             raise ValueError("index built without class metadata")
-        if strict:
-            pool = (int(np.count_nonzero(live)) if class_id is None
-                    else int(np.count_nonzero(
-                        live & (self._class_ids[:len(live)] == class_id))))
-            if pool < k:
-                raise ValueError(
-                    f"k={k} exceeds the candidate pool of {pool}"
-                    + ("" if class_id is None
-                       else f" for class {class_id}"))
 
     def query(self, vector: np.ndarray, k: int = 5,
-              class_id: int | None = None, strict: bool = False,
+              class_id: int | None = None,
               deadline: Deadline | None = None) -> ClusterResult:
         """Fan one query out to every shard and merge the top-k.
 
@@ -498,12 +491,12 @@ class IndexCluster:
         answered; ``ClusterResult.partial`` tells the caller how much
         of the corpus the answer represents.  Never raises for
         operational faults — only for caller errors (bad ``k``,
-        unknown metadata, ``strict`` pool violations).
+        unknown metadata).
         """
         live = self._live        # snapshot before reading other arrays
         # A caller error is no query: it neither counts nor moves the
         # query-id-keyed fault schedules.
-        self._validate(live, k, class_id, strict)
+        self._validate(k, class_id)
         with self._stats_lock:
             query_id = self._next_query_id
             self._next_query_id += 1

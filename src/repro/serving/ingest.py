@@ -36,7 +36,6 @@ import os
 import pathlib
 import struct
 import threading
-import time
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -51,7 +50,7 @@ from .wal import DeltaLog, LogPosition, read_manifest, replay_segments
 
 __all__ = ["IngestError", "IngestOp", "IngestAck", "IngestConfig",
            "CompactionTicket", "CompactionReport", "DeltaOverlay",
-           "Ingestor", "CompactionThread", "encode_op", "decode_op",
+           "Ingestor", "encode_op", "decode_op",
            "recipe_to_payload", "payload_to_recipe", "scan_log"]
 
 _OP_ADD = 1
@@ -109,9 +108,6 @@ class IngestConfig:
     #: Batched-fsync policy: acknowledge after the OS write, make
     #: durable every N records.  1 (default) = every ack is durable.
     fsync_every: int = 1
-    #: Delta rows (adds + tombstones) that trigger the background
-    #: compaction thread; ``None`` leaves compaction manual.
-    compact_at_delta_rows: int | None = 256
 
 
 @dataclass(frozen=True)
@@ -707,14 +703,11 @@ class Ingestor:
         return ticket
 
     def commit_compaction(self, ticket: CompactionTicket
-                          ) -> tuple[CompactionReport,
-                                     list[tuple[IngestOp, int,
-                                                int | None]]]:
+                          ) -> CompactionReport:
         """Persist the fold and promote it; exactly-once by manifest.
 
-        Returns the report plus the pending ops (with the merge keys
-        they re-acquired on the fresh overlays) so the service can
-        mirror them into a candidate cluster topology.
+        Writes that raced the fold are replayed onto the fresh
+        overlays, so they read exactly like a recovered log.
         """
         base_file = f"base-{ticket.epoch:06d}.npz"
         _write_base_snapshot(self.directory / base_file, ticket.folded,
@@ -734,7 +727,8 @@ class Ingestor:
                              for name, index in self.bases.items()}
             self.payloads = dict(ticket.payloads)
             pending = list(self._pending)
-            replayed = [(op,) + self._apply(op) for op in pending]
+            for op in pending:
+                self._apply(op)
             self.epoch = ticket.epoch
             if old_base and old_base != base_file:
                 stale = self.directory / old_base
@@ -746,8 +740,8 @@ class Ingestor:
         report = CompactionReport(
             epoch=ticket.epoch, live_items=ticket.live_items,
             folded_tombstones=getattr(self, "_folded_tombstones", 0),
-            pending_replayed=len(replayed), base_file=base_file)
-        return report, replayed
+            pending_replayed=len(pending), base_file=base_file)
+        return report
 
     def abort_compaction(self, ticket: CompactionTicket) -> None:
         """Discard a fold (e.g. canary veto).  Nothing to roll back:
@@ -760,9 +754,7 @@ class Ingestor:
 
     def compact(self) -> CompactionReport:
         """Fold and commit without external validation (CLI path)."""
-        ticket = self.begin_compaction()
-        report, _ = self.commit_compaction(ticket)
-        return report
+        return self.commit_compaction(self.begin_compaction())
 
     def _clean_stale_bases(self) -> None:
         for entry in self.directory.glob("base-*.npz*"):
@@ -811,50 +803,3 @@ def scan_log(log_dir: str | pathlib.Path) -> dict:
         "base": meta.get("base") or "external",
         "segment": int(manifest.get("segment", 0)),
     }
-
-
-class CompactionThread:
-    """Background fold trigger: compacts the service's overlay when it
-    grows past ``compact_at_delta_rows`` (checked every ``interval``).
-
-    Failures are recorded, not raised — a broken compaction must not
-    take the maintenance loop down with it.  ``stop()`` joins the
-    thread.
-    """
-
-    def __init__(self, service, interval: float = 0.25,
-                 sleep=time.sleep):
-        self._service = service
-        self._interval = float(interval)
-        self._sleep = sleep
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="ingest-compaction")
-        self.errors: list[str] = []
-        self.reports = []
-
-    def start(self) -> "CompactionThread":
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            try:
-                ingestor = self._service.ingestor
-                threshold = (ingestor.config.compact_at_delta_rows
-                             if ingestor is not None else None)
-                if threshold is not None and ingestor is not None:
-                    status = ingestor.status()
-                    load = (max(status["delta_rows"].values(), default=0)
-                            + status["tombstones"])
-                    if load >= threshold:
-                        self.reports.append(
-                            self._service.compact_ingest())
-            except Exception as exc:  # survive and report
-                self.errors.append(f"{type(exc).__name__}: {exc}")
-            self._sleep(self._interval)
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread.is_alive():
-            self._thread.join(timeout=5.0)

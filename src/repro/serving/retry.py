@@ -29,23 +29,26 @@ from typing import Callable
 __all__ = ["RetryPolicy", "CircuitBreaker", "CircuitState"]
 
 
+#: Backoff growth per retry, and the cap on one un-jittered delay (s).
+_BACKOFF_FACTOR = 2.0
+_MAX_DELAY = 1.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Exponential backoff with multiplicative jitter.
 
     Delay before retry ``attempt`` (0-based) is
-    ``min(base_delay * factor**attempt, max_delay)`` scaled by a
-    jitter factor uniform in ``[1, 1 + jitter)``.
+    ``min(base_delay * 2**attempt, 1.0)`` scaled by a jitter factor
+    uniform in ``[1, 1 + jitter)``.
     """
 
     max_attempts: int = 3
     base_delay: float = 0.05
-    factor: float = 2.0
-    max_delay: float = 1.0
     jitter: float = 0.5
 
     def delay(self, attempt: int, rng=None) -> float:
-        raw = min(self.base_delay * self.factor ** attempt, self.max_delay)
+        raw = min(self.base_delay * _BACKOFF_FACTOR ** attempt, _MAX_DELAY)
         if self.jitter and rng is not None:
             raw *= 1.0 + self.jitter * rng.random()
         return raw

@@ -113,6 +113,13 @@ _OUTCOME_LOG_SIZE = 512
 _BROWNOUT_K_CAP = 3
 #: Cluster topology when the config names none: the monolith.
 _ONE_SHARD = ClusterConfig(num_shards=1, replication=1)
+#: Per-dependency (embed, index) breaker: open after this many
+#: failures in a row, stay open this many seconds, close after this
+#: many half-open successes.  The cluster's per-replica breakers have
+#: their own, in :mod:`~repro.serving.cluster`.
+_BREAKER_FAILURE_THRESHOLD = 3
+_BREAKER_RESET_AFTER = 5.0
+_BREAKER_HALF_OPEN_SUCCESSES = 2
 
 
 class _StageUnavailable(RuntimeError):
@@ -165,9 +172,6 @@ class ServiceConfig:
 
     deadline: float = 1.0              # seconds per request
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    breaker_failure_threshold: int = 3
-    breaker_reset_after: float = 5.0   # seconds open before half-open
-    breaker_half_open_successes: int = 2
     #: Overload control.  The default admits 8 requests at a time and
     #: sheds the rest at once; an adaptive config adds token buckets,
     #: fair queuing, AIMD concurrency, and the brownout ladder.
@@ -307,7 +311,7 @@ class ResilientSearchService:
         answer ``unavailable``.
     ingest_config:
         Optional :class:`~repro.serving.ingest.IngestConfig` (fsync
-        batching, auto-compaction threshold).
+        batching).
     ingest_faults:
         Optional :class:`~repro.robustness.faults.IngestFault` hook
         object threaded into the WAL and the compaction protocol.
@@ -372,20 +376,18 @@ class ResilientSearchService:
                  self.ingestor.bases["recipe"]),
                 self.ingestor)
         self._active = self._make_generation(0, engine)
-        # Trace link from the most recent ingest span to the background
-        # compaction it may trigger (see compact_ingest).
+        # Trace link from the most recent ingest span to a compaction
+        # called outside any span (see compact_ingest).
         self._last_ingest_ctx = None
         if self.ingestor is not None:
             self._replay_overlay_into_clusters(self._active)
         self.embed_breaker = CircuitBreaker(
-            "embed", self._config.breaker_failure_threshold,
-            self._config.breaker_reset_after,
-            self._config.breaker_half_open_successes, clock=clock,
+            "embed", _BREAKER_FAILURE_THRESHOLD, _BREAKER_RESET_AFTER,
+            _BREAKER_HALF_OPEN_SUCCESSES, clock=clock,
             on_transition=self._on_breaker_transition)
         self.index_breaker = CircuitBreaker(
-            "index", self._config.breaker_failure_threshold,
-            self._config.breaker_reset_after,
-            self._config.breaker_half_open_successes, clock=clock,
+            "index", _BREAKER_FAILURE_THRESHOLD, _BREAKER_RESET_AFTER,
+            _BREAKER_HALF_OPEN_SUCCESSES, clock=clock,
             on_transition=self._on_breaker_transition)
         for dependency in ("embed", "index"):
             self._m_breaker_state.labels(dependency=dependency).set(0)
@@ -1125,9 +1127,11 @@ class ResilientSearchService:
         it (the manifest write is the single commit point — dying on
         either side of it recovers without loss or double-apply).
         Writes that land while canaries run are replayed onto the new
-        generation before it goes live, so a query stream racing the
-        swap observes every acknowledged item exactly once.  Never
-        raises for operational faults.
+        generation before it goes live, through the same path boot
+        recovery takes, so a query stream racing the swap observes
+        every acknowledged item exactly once.  Never raises for
+        operational faults.  Nothing calls it on a timer, so a serving
+        process's delta grows until a caller folds it.
         """
         started = self._clock()
         old = self._active
@@ -1139,10 +1143,10 @@ class ResilientSearchService:
                 rolled_back=True)
             return self._record_swap(report, started)
         tracer = self.telemetry.tracer
-        # The compaction thread has no active span of its own; adopt
-        # the triggering ingest's context so the fold shows up in that
-        # trace instead of starting an orphan root.  A caller already
-        # inside a span (CLI, tests) keeps its own lineage.
+        # A caller outside any span adopts the last ingest's context,
+        # so the fold shows up in that trace instead of starting an
+        # orphan root.  A caller already inside a span keeps its own
+        # lineage.
         link = (self._last_ingest_ctx if tracer.current() is None
                 else None)
         with tracer.attach(link), \
@@ -1169,10 +1173,8 @@ class ResilientSearchService:
                         rolled_back=True)
                     return self._record_swap(report, started)
                 with self._ingest_lock:
-                    _, replayed = self.ingestor.commit_compaction(ticket)
-                    for op, key, replaced_key in replayed:
-                        self._apply_replayed_to_clusters(
-                            candidate, op, key, replaced_key)
+                    self.ingestor.commit_compaction(ticket)
+                    self._replay_overlay_into_clusters(candidate)
                     with self._lock:
                         self._active = candidate
                 self.index_breaker.reset()
@@ -1213,13 +1215,14 @@ class ResilientSearchService:
 
     def _replay_overlay_into_clusters(
             self, generation: EngineGeneration) -> None:
-        """Boot-time replay: project recovered deltas into clusters.
+        """Project the overlays' deltas into freshly built clusters.
 
-        The clusters were just built over the recovered *base*, so the
-        overlay's tombstones and live delta rows must be re-applied on
-        top — same order as recovery (deletes of base items first,
-        then adds keyed by their overlay slots, which ``apply_add``
-        gap-fills past dead slots).
+        Runs at boot and at each compaction commit.  The clusters were
+        just built over the recovered (or freshly folded) *base*, so
+        the overlay's tombstones and live delta rows must be
+        re-applied on top — same order as recovery (deletes of base
+        items first, then adds keyed by their overlay slots, which
+        ``apply_add`` gap-fills past dead slots).
         """
         clusters = {"image": generation.image_cluster,
                     "recipe": generation.recipe_cluster}

@@ -54,7 +54,6 @@ class SkipThoughtLite:
         word_dim = word_vectors.shape[1]
         scale = 1.0 / np.sqrt(word_dim)
         self.projection = rng.uniform(-scale, scale, size=(word_dim, dim))
-        self._fitted = False
 
     # ------------------------------------------------------------------
     def _bag(self, sentence: str) -> np.ndarray:
@@ -99,7 +98,6 @@ class SkipThoughtLite:
                     anchor, positive = doc[i], doc[i + 1]
                     negative = flat[rng.integers(len(flat))]
                     self._hinge_step(anchor, positive, negative, margin)
-        self._fitted = True
         return self
 
     def _hinge_step(self, anchor: np.ndarray, positive: np.ndarray,
@@ -114,7 +112,3 @@ class SkipThoughtLite:
         grad = -(np.outer(anchor, zp) + np.outer(positive, za)
                  - np.outer(anchor, zn) - np.outer(negative, za))
         self.projection -= self.lr * grad
-
-    @property
-    def is_fitted(self) -> bool:
-        return self._fitted

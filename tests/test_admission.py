@@ -193,8 +193,7 @@ class TestFairQueue:
 # ----------------------------------------------------------------------
 def limiter_config(**overrides):
     defaults = dict(initial_limit=8, min_limit=2, max_limit=16,
-                    target_p95_s=0.1, evaluate_every=4,
-                    decrease_factor=0.5, increase_step=1.0)
+                    target_p95_s=0.1, evaluate_every=4)
     defaults.update(overrides)
     return AdmissionConfig(**defaults)
 
@@ -202,12 +201,12 @@ def limiter_config(**overrides):
 class TestAdaptiveLimiter:
     def test_decreases_multiplicatively_above_target(self):
         limiter = AdaptiveLimiter(limiter_config())
-        for _ in range(4):
-            limiter.on_done(0.5)
-        assert limiter.limit == 4
-        for _ in range(4):
-            limiter.on_done(0.5)
-        assert limiter.limit == 2  # floor
+        # x0.7 per step, truncated for the admitted count: 8 -> 5.6
+        # -> 3.92 -> 2.744, then the floor holds it at 2.
+        for expected in (5, 3, 2, 2):
+            for _ in range(4):
+                limiter.on_done(0.5)
+            assert limiter.limit == expected
 
     def test_increases_additively_at_or_below_target(self):
         limiter = AdaptiveLimiter(limiter_config())
@@ -319,8 +318,7 @@ class TestBrownoutController:
 # ----------------------------------------------------------------------
 def make_controller(clock=None, **overrides):
     clock = clock or FakeClock()
-    defaults = dict(initial_limit=2, min_limit=1, max_queue_depth=4,
-                    poll_interval_s=0.001)
+    defaults = dict(initial_limit=2, min_limit=1, max_queue_depth=4)
     defaults.update(overrides)
     config = AdmissionConfig(**defaults)
     return AdmissionController(config, clock=clock,

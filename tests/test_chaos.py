@@ -53,9 +53,6 @@ def make_service(engine, faults=None, clock=None, ingest_log=None,
     defaults = dict(
         deadline=1.0,
         retry=RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0),
-        breaker_failure_threshold=3,
-        breaker_reset_after=5.0,
-        breaker_half_open_successes=2,
     )
     defaults.update(overrides)
     config = ServiceConfig(**defaults)
@@ -324,11 +321,14 @@ class TestStructuredOutcomes:
             SlowEmbedFault(requests=[4], delay=3.0, sleep=clock.sleep),
         ])
         service, _ = make_service(engine, faults=faults, clock=clock,
-                                  deadline=1.0, breaker_reset_after=0.5)
+                                  deadline=1.0)
         ingredients = known_ingredients(engine)
         responses = []
         for request in range(8):
-            clock.sleep(1.0)  # breathing room between requests
+            # Past the embed breaker's 5 s reset between requests, so
+            # the NaN-tripped breaker has half-opened again (and closed
+            # on two probe successes) by the scripted slow request.
+            clock.sleep(6.0)
             responses.append(
                 service.search_by_ingredients(ingredients, k=3))
         statuses = [r.outcome.status for r in responses]

@@ -15,7 +15,7 @@ from ._serving_util import (FakeClock, known_ingredients, make_engine,
 from repro.obs import Telemetry, last_metrics_snapshot
 from repro.retrieval.index import NearestNeighborIndex
 from repro.robustness.faults import ReplicaCrash
-from repro.serving import IngestConfig, ResilientSearchService, ServiceConfig
+from repro.serving import ResilientSearchService, ServiceConfig
 from repro.serving.cluster import (REPLICA_DEAD, ClusterConfig,
                                    IndexCluster)
 from repro.serving.deadline import Deadline
@@ -53,18 +53,12 @@ class TestClusterQueries:
 
     def test_missing_class_returns_empty(self):
         # A class no shard holds: every shard answers an empty pool and
-        # the merge is empty — same non-strict contract as the index.
+        # the merge is empty — same contract as the index.
         index, rng = small_index()
         cluster = IndexCluster(index, ClusterConfig(num_shards=3))
         result = cluster.query(rng.normal(size=12), k=5, class_id=99)
         assert result.ids.shape == (0,)
         assert result.shards_answered == 3 and not result.partial
-
-    def test_strict_pool_violation_raises(self):
-        index, rng = small_index()
-        cluster = IndexCluster(index, ClusterConfig(num_shards=3))
-        with pytest.raises(ValueError, match="candidate pool"):
-            cluster.query(rng.normal(size=12), k=999, strict=True)
 
     def test_bad_k_raises(self):
         index, rng = small_index()
@@ -81,8 +75,6 @@ class TestClusterQueries:
                                faults=fault)
         with pytest.raises(ValueError, match="k must be"):
             cluster.query(rng.normal(size=12), k=0)
-        with pytest.raises(ValueError, match="candidate pool"):
-            cluster.query(rng.normal(size=12), k=999, strict=True)
         assert cluster.describe()["queries"] == 0
         assert fault.fired == []
         cluster.query(rng.normal(size=12), k=3)
@@ -359,8 +351,7 @@ class TestClusteredService:
             make_engine(dataset, featurizer),
             ServiceConfig(cluster=ClusterConfig(num_shards=2,
                                                 replication=1)),
-            clock=clock, sleep=clock.sleep, ingest_log=tmp_path / "wal",
-            ingest_config=IngestConfig(compact_at_delta_rows=None))
+            clock=clock, sleep=clock.sleep, ingest_log=tmp_path / "wal")
         engine = service._active.engine
         embed_recipe = engine.embed_recipe
         compactions = []
@@ -385,6 +376,26 @@ class TestClusteredService:
                                                        tmp_path):
         dataset, featurizer = world
         clock = FakeClock()
+
+        def expected_cluster_bytes(cluster, counted):
+            # Each distinct array once: replicas share their shard's
+            # sealed index, whose ids are the shard's positions; the
+            # cluster shares the engine index's ids and classes until
+            # its first streamed add, and a one-shard index shares the
+            # engine index's rows too — all of which the ledger counts
+            # under ``index`` only.
+            arrays = {}
+            for array in (cluster._ids, cluster._class_ids, cluster._live,
+                          cluster._segment):
+                arrays[id(array)] = array
+            for shard in cluster.shards:
+                for rep in shard.replicas:
+                    for array in (shard.positions, rep.index.embeddings,
+                                  rep.index.ids, rep.index.class_ids):
+                        arrays[id(array)] = array
+            return sum(a.nbytes for key, a in arrays.items()
+                       if a is not None and key not in counted)
+
         # 2 shards x 2 replicas, then the 1 x 1 monolith.
         for cluster_config in (ClusterConfig(num_shards=2, replication=2),
                                None):
@@ -392,36 +403,35 @@ class TestClusteredService:
                 make_engine(dataset, featurizer),
                 ServiceConfig(cluster=cluster_config),
                 clock=clock, sleep=clock.sleep,
-                ingest_log=tmp_path / f"wal-{cluster_config is None}",
-                ingest_config=IngestConfig(compact_at_delta_rows=None))
-            assert service.ingest(list(dataset.split("train"))[0]).ok
-            components = service.stats()["memory"]["components"]
-            for name in ("image", "recipe"):
-                index = getattr(service._active.engine, f"{name}_index")
-                counted = {id(a): a for a in (index.embeddings, index.ids,
-                                              index.class_ids)}
-                assert components[f"index.{name}"] == sum(
-                    a.nbytes for a in counted.values() if a is not None)
-                cluster = getattr(service._active, f"{name}_cluster")
-                assert len(cluster._segment) == 1
-                arrays = [cluster._ids, cluster._class_ids, cluster._live,
-                          cluster._segment]
-                # Each distinct array once: replicas share their shard's
-                # sealed index, whose ids are the shard's positions, and
-                # a one-shard index shares the engine index's rows,
-                # which the ledger counts under ``index`` only.
-                sealed = {}
-                for shard in cluster.shards:
-                    for rep in shard.replicas:
-                        for array in (shard.positions,
-                                      rep.index.embeddings, rep.index.ids,
-                                      rep.index.class_ids):
-                            if id(array) not in counted:
-                                sealed[id(array)] = array
-                if cluster_config is None:
-                    assert (cluster.shards[0].replicas[0].index.embeddings
-                            is index.embeddings)
-                arrays += list(sealed.values())
-                expected = sum(a.nbytes for a in arrays if a is not None)
-                assert components[f"cluster.{name}"] == expected
+                ingest_log=tmp_path / f"wal-{cluster_config is None}")
+            for streamed in (0, 1):
+                if streamed:
+                    assert service.ingest(
+                        list(dataset.split("train"))[0]).ok
+                components = service.stats()["memory"]["components"]
+                for name in ("image", "recipe"):
+                    index = getattr(service._active.engine,
+                                    f"{name}_index")
+                    counted = {id(a): a for a in (
+                        index.embeddings, index.ids, index.class_ids)}
+                    assert components[f"index.{name}"] == sum(
+                        a.nbytes for a in counted.values()
+                        if a is not None)
+                    cluster = getattr(service._active, f"{name}_cluster")
+                    assert len(cluster._segment) == streamed
+                    # No copy of the source's ids and classes until a
+                    # streamed add regrows them.
+                    assert (cluster._ids is index.ids) == (not streamed)
+                    assert ((cluster._class_ids is index.class_ids)
+                            == (not streamed))
+                    assert components[f"cluster.{name}"] == (
+                        expected_cluster_bytes(cluster, counted))
+                    if cluster_config is None and not streamed:
+                        # The monolith adds only its mask and the
+                        # shard's position labels to the engine index.
+                        shard = cluster.shards[0]
+                        assert (shard.replicas[0].index.embeddings
+                                is index.embeddings)
+                        assert components[f"cluster.{name}"] == (
+                            cluster._live.nbytes + shard.positions.nbytes)
             service.ingestor.close()

@@ -331,8 +331,7 @@ class TestCacheOnTheWire:
         config = GatewayConfig(cache=CacheConfig(
             capacity=8, ttl_s=10.0, stale_ttl_s=120.0))
         service_config = ServiceConfig(deadline=2.0,
-                                       degraded_enabled=False,
-                                       breaker_failure_threshold=2)
+                                       degraded_enabled=False)
         with running_gateway(world, service_config=service_config,
                              gateway_config=config, clock=clock) as \
                 (service, gateway):
@@ -346,8 +345,9 @@ class TestCacheOnTheWire:
             assert body["cache"] == "miss" and body["stale"] is False
             clock.now += 60.0  # expire the refreshed entry again
             # Now the embed dependency goes down hard; with the
-            # degraded ranker disabled the live path fails outright.
-            for _ in range(2):
+            # degraded ranker disabled the live path fails outright
+            # (three failures in a row open the embed breaker).
+            for _ in range(3):
                 service.embed_breaker.record_failure()
             status, headers, body = search(port, ingredients)
             assert status == 200, body

@@ -580,10 +580,14 @@ class TestIngestor:
         ingestor.add(_vectors(rng))
         ticket = ingestor.begin_compaction()
         racing = ingestor.add(_vectors(rng))  # lands after the seal
-        report, replayed = ingestor.commit_compaction(ticket)
+        report = ingestor.commit_compaction(ticket)
         assert report.pending_replayed == 1
-        assert [op.item_id for op, _, _ in replayed] == [racing.item_id]
-        assert ingestor.overlays["image"].is_live(racing.item_id)
+        # the raced item is live in the new overlay's delta, not in
+        # the folded base
+        for overlay in ingestor.overlays.values():
+            assert overlay.is_live(racing.item_id)
+            assert [entry[0] for entry in overlay.delta_entries()] == [
+                racing.item_id]
         # the racing write is in the log, not the snapshot: a reopen
         # must replay exactly it
         ingestor.close()

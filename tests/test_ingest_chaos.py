@@ -42,7 +42,7 @@ def world():
 
 
 def make_service(world, log_dir, *, faults=None, cluster=None,
-                 compact_at=10_000, fsync_every=1):
+                 fsync_every=1):
     dataset, featurizer = world
     clock = FakeClock()
     return ResilientSearchService(
@@ -50,8 +50,7 @@ def make_service(world, log_dir, *, faults=None, cluster=None,
         ServiceConfig(cluster=cluster),
         clock=clock, sleep=clock.sleep,
         ingest_log=log_dir,
-        ingest_config=IngestConfig(fsync_every=fsync_every,
-                                   compact_at_delta_rows=compact_at),
+        ingest_config=IngestConfig(fsync_every=fsync_every),
         ingest_faults=faults)
 
 
@@ -282,6 +281,44 @@ class TestRacingQueries:
         # and still exactly-once after the swap settled
         assert_exactly_once(service, probes[0], holder["expected"])
         assert service.ingestor.epoch == 1
+
+    @pytest.mark.fakeclock
+    @pytest.mark.parametrize(
+        "cluster", [None, ClusterConfig(num_shards=2, replication=2)],
+        ids=["monolith", "2x2"])
+    def test_writes_during_canaries_replay_into_new_generation(
+            self, world, tmp_path, cluster):
+        """Writes acknowledged after the fold sealed the log (while the
+        candidate generation is canary-checked) must reach the new
+        generation: searches match a twin that made the same writes
+        and never compacted."""
+        raced = train_recipes(world, 8)[6:]
+
+        def racing_writes(service):
+            kept, dropped = [service.ingest(recipe) for recipe in raced]
+            assert kept.ok and dropped.ok
+            assert service.delete(dropped.item_id).ok
+            assert service.delete(1).ok  # a frozen-base item
+
+        holder = {}
+        service = make_service(
+            world, tmp_path / "compacted", cluster=cluster,
+            faults=CompactionRacingQueries(
+                lambda phase: racing_writes(holder["service"]),
+                phases=["folded"]))
+        holder["service"] = service
+        twin = make_service(world, tmp_path / "twin", cluster=cluster)
+        probes = _mutate(service, world) + raced
+        _mutate(twin, world)
+
+        report = service.compact_ingest()
+        assert report.ok, report.failures
+        assert service.ingestor.epoch == 1
+        racing_writes(twin)
+        assert live_ids(service) == live_ids(twin)
+        assert (search_fingerprint(service, probes)
+                == search_fingerprint(twin, probes))
+        assert_exactly_once(service, probes[0], live_ids(twin))
 
     def test_real_racing_thread(self, world, tmp_path):
         service = make_service(world, tmp_path / "wal")

@@ -336,9 +336,6 @@ def make_service(world, faults=None, **overrides):
     defaults = dict(
         deadline=1.0,
         retry=RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0),
-        breaker_failure_threshold=3,
-        breaker_reset_after=5.0,
-        breaker_half_open_successes=2,
     )
     defaults.update(overrides)
     service = ResilientSearchService(

@@ -17,8 +17,8 @@ import pytest
 from repro.obs import Telemetry
 from repro.robustness.faults import (OverloadStorm, SlowEmbedUnderLoad,
                                      TenantFlood)
-from repro.serving import (AdmissionConfig, BrownoutConfig,
-                           LoadGenerator, ResilientSearchService,
+from repro.serving import (BROWNOUT_LADDER, AdmissionConfig,
+                           BrownoutConfig, LoadGenerator, ResilientSearchService,
                            RetryPolicy, ServiceConfig, TenantLoad,
                            TenantPolicy)
 
@@ -166,7 +166,7 @@ class TestBrownoutLadder:
         # Replay the transitions: every engage must activate the next
         # ladder step, every release the last active one — any other
         # sequence means the ladder skipped or jumbled levels.
-        ladder = service.admission.brownout.config.ladder
+        ladder = BROWNOUT_LADDER
         level = 0
         for record in records:
             if record["direction"] == "engage":

@@ -169,17 +169,12 @@ class TestIndex:
             index.query(np.ones(3), class_id=0)
 
     def test_missing_class_returns_empty_pair(self):
-        # empty pool, non-strict: an empty answer, not an exception —
+        # empty pool: an empty answer, not an exception —
         # shards routinely hold zero items of a queried class
         index = NearestNeighborIndex(np.eye(3), class_ids=np.zeros(3))
         ids, dist = index.query(np.ones(3), class_id=7)
         assert ids.shape == (0,) and dist.shape == (0,)
         assert ids.dtype == np.int64 and dist.dtype == np.float64
-
-    def test_missing_class_strict_raises(self):
-        index = NearestNeighborIndex(np.eye(3), class_ids=np.zeros(3))
-        with pytest.raises(ValueError, match="candidate pool"):
-            index.query(np.ones(3), class_id=7, strict=True)
 
     def test_custom_ids(self):
         index = NearestNeighborIndex(np.eye(3), ids=np.array([10, 20, 30]))
@@ -219,18 +214,6 @@ class TestIndexPoolContract:
         ids, dist = index.query(np.ones(5), k=4, class_id=1)
         assert len(ids) == len(dist) == index.pool_size(1) == 2
 
-    def test_strict_raises_when_k_exceeds_pool(self):
-        index = self.make()
-        with pytest.raises(ValueError, match="candidate pool"):
-            index.query(np.ones(5), k=4, class_id=1, strict=True)
-        with pytest.raises(ValueError, match="candidate pool"):
-            index.query(np.ones(5), k=6, strict=True)
-
-    def test_strict_ok_when_pool_suffices(self):
-        index = self.make()
-        ids, __ = index.query(np.ones(5), k=2, class_id=1, strict=True)
-        assert len(ids) == 2
-
 
 class TestIndexBatch:
     def make(self, n=40, d=8, classes=3, seed=0):
@@ -265,8 +248,6 @@ class TestIndexBatch:
         assert ids.shape == dist.shape == (4, 2)
         ids, dist = index.query_batch(vectors, k=4, class_id=9)
         assert ids.shape == dist.shape == (4, 0)
-        with pytest.raises(ValueError, match="candidate pool"):
-            index.query_batch(vectors, k=4, class_id=9, strict=True)
 
     def test_batch_rejects_bad_shapes(self):
         index = self.make()

@@ -11,8 +11,8 @@ from repro.data.encoding import EncodedCorpus
 from repro.data.schema import Recipe
 from repro.serving import (AdmissionConfig, CircuitBreaker, CircuitState,
                            Deadline, DeadlineExceeded, DegradedRanker,
-                           IngestConfig, ResilientSearchService,
-                           RetryPolicy, ServiceConfig)
+                           ResilientSearchService, RetryPolicy,
+                           ServiceConfig)
 from repro.serving.cluster import ClusterConfig
 from repro.text import tokenize
 
@@ -86,15 +86,15 @@ class TestDeadline:
 
 class TestRetryPolicy:
     def test_exponential_growth_and_cap(self):
-        policy = RetryPolicy(base_delay=0.1, factor=2.0, max_delay=0.5,
-                             jitter=0.0)
+        policy = RetryPolicy(base_delay=0.1, jitter=0.0)
         assert policy.delay(0) == pytest.approx(0.1)
         assert policy.delay(1) == pytest.approx(0.2)
         assert policy.delay(2) == pytest.approx(0.4)
-        assert policy.delay(3) == pytest.approx(0.5)  # capped
+        assert policy.delay(3) == pytest.approx(0.8)
+        assert policy.delay(4) == pytest.approx(1.0)  # capped
 
     def test_jitter_bounds(self):
-        policy = RetryPolicy(base_delay=0.1, factor=1.0, jitter=0.5)
+        policy = RetryPolicy(base_delay=0.1, jitter=0.5)
         rng = random.Random(3)
         for attempt in range(20):
             delay = policy.delay(0, rng)
@@ -354,8 +354,7 @@ class TestDegradedExcludesDeleted:
                                             base_delay=0.01, jitter=0.0),
                           cluster=cluster),
             clock=clock, sleep=clock.sleep, rng=random.Random(0),
-            ingest_log=tmp_path / "wal",
-            ingest_config=IngestConfig(compact_at_delta_rows=None))
+            ingest_log=tmp_path / "wal")
 
         def broken(*_):
             raise RuntimeError("embedder down")
