@@ -13,11 +13,14 @@ through ``bench_record_serving`` instead and land in
 ``BENCH_serving.json``.
 """
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, l2_normalize
-from repro.core import instance_triplet_loss, semantic_triplet_loss
+from repro.autograd import Tensor, l2_normalize, no_grad
+from repro.core import (ImageBranch, JointEmbeddingModel, RecipeBranch,
+                        instance_triplet_loss, semantic_triplet_loss)
 from repro.core.engine import RecipeSearchEngine
 from repro.data import (ClassTaxonomy, DatasetConfig, DishRenderer,
                         IngredientLexicon, RecipeFeaturizer,
@@ -31,6 +34,7 @@ from repro.retrieval import RetrievalProtocol
 from repro.retrieval.index import NearestNeighborIndex
 from repro.serving import (DegradedRanker, ResilientSearchService,
                            ServiceConfig)
+from repro.vision import MLPEncoder
 
 
 RNG = lambda seed=0: np.random.default_rng(seed)
@@ -137,6 +141,55 @@ def test_bench_bilstm_forward(benchmark, bench_record):
     out = benchmark(encoder, x, lengths)
     assert out.shape == (50, 32)
     bench_record(float(np.abs(out.data).mean()), benchmark)
+
+
+def _wire_sized_recipes(batch: int):
+    """A seeded recipe branch at the wire model's sizes (125 ingredient
+    words of dim 24, 12 ingredients, 8 sentences of dim 24, hidden 16,
+    latent 32) and a padded batch of inputs for it."""
+    rng = RNG(8)
+    vectors = rng.normal(size=(125, 24))
+    branch = RecipeBranch(vectors, sentence_dim=24, latent_dim=32, rng=rng)
+    model = JointEmbeddingModel(
+        ImageBranch(MLPEncoder(rng, image_size=8, feature_dim=32), 32, rng),
+        branch).eval()
+    n_ing = rng.integers(1, 13, size=batch)
+    ids = rng.integers(1, 125, size=(batch, 12))
+    ids[np.arange(12)[None, :] >= n_ing[:, None]] = 0
+    n_sent = rng.integers(1, 9, size=batch)
+    sentences = rng.normal(size=(batch, 8, 24))
+    return model, (ids, n_ing, sentences, n_sent)
+
+
+@pytest.mark.parametrize("batch", [1, 256])
+def test_bench_embed_recipes_no_grad(benchmark, bench_record, batch):
+    """The served recipe embed: ``embed_recipes`` with grad off, which
+    runs the plain-numpy ``infer``.  It must equal the autograd forward
+    bit for bit, and the autograd forward's time (grad off) is recorded
+    beside it."""
+    model, args = _wire_sized_recipes(batch)
+
+    def autograd():
+        return l2_normalize(model.recipe_branch(*args))
+
+    def served():
+        with no_grad():
+            return model.embed_recipes(*args)
+
+    def per_call_ms(fn) -> float:
+        repeats = 20 * max(1, 256 // batch)
+        with no_grad():
+            started = time.perf_counter()
+            for _ in range(repeats):
+                fn()
+        return (time.perf_counter() - started) / repeats * 1e3
+
+    out = benchmark(served)
+    assert out.data.tobytes() == autograd().data.tobytes()
+    bench_record(per_call_ms(autograd),
+                 name=f"embed_recipes_autograd_b{batch}")
+    bench_record(per_call_ms(served), benchmark,
+                 name=f"embed_recipes_no_grad_b{batch}")
 
 
 def test_bench_lstm_forward_backward(benchmark, bench_record):

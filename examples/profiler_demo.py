@@ -3,14 +3,14 @@
 Stands up the resilient search service on a tiny synthetic corpus,
 then injects the two halves of a classic brownout: a *straggling
 shard* (every replica attempt on shard 0 stalls) and a *hot-spinning
-thread* in the compaction role.  The latency SLO burns through its
+thread* in the loadgen role.  The latency SLO burns through its
 budget, the alert fires, and the ``AlertManager.on_fire`` hooks do
 the rest — the sampling profiler opens a bounded capture window and
 the flight recorder dumps an incident bundle.  Once the window
 closes, a post-capture bundle lands with the full evidence:
 
 * ``profile.txt``   — collapsed stacks blaming the spin on the
-  compaction role, plus the blocked time on the straggling stage;
+  loadgen role, plus the blocked time on the straggling stage;
 * ``memory.json``   — the memory ledger's itemized bytes (index,
   rings, WAL, cache) against process RSS.
 
@@ -164,11 +164,11 @@ def main(argv=None) -> int:
           f"{[n for n, a in manager.alerts.items() if a.firing]}")
     print(f"   profiler running: {service.profiler.running}")
 
-    print("== Phase 2: straggling shard + hot-spinning compaction ==")
+    print("== Phase 2: straggling shard + hot-spinning loadgen thread ==")
     fault.queries = _FireAlways()         # shard 0 stalls 300 ms
     stop_spin = threading.Event()
     spinner = threading.Thread(target=_spin, args=(stop_spin,),
-                               name="ingest-compaction-hot-9", daemon=True)
+                               name="loadgen-hot-9", daemon=True)
     spinner.start()
     traffic(8)                            # every index stage now slow
 

@@ -13,6 +13,13 @@
 
 The ``use_ingredients`` / ``use_instructions`` switches implement the
 AdaMine_ingr and AdaMine_instr ablations.
+
+:meth:`RecipeBranch.infer` is the recipe branch on plain numpy arrays,
+the path every query embed takes with grad off. It calls the ``infer``
+of each submodule in ``forward``'s order, so at the same batch shape
+its output is bitwise equal to ``forward``'s (``tests/test_inference.py``
+pins this). The image branch has no such path: no served workload
+embeds images per query.
 """
 
 from __future__ import annotations
@@ -102,3 +109,21 @@ class RecipeBranch(Module):
             parts.append(final)
         features = parts[0] if len(parts) == 1 else concat(parts, axis=-1)
         return self.projection(features)
+
+    def infer(self, ingredient_ids: np.ndarray,
+              ingredient_lengths: np.ndarray,
+              sentence_vectors: np.ndarray,
+              sentence_lengths: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on plain arrays, bitwise equal to it."""
+        parts = []
+        if self.use_ingredients:
+            embedded = self.ingredient_embedding.infer(ingredient_ids)
+            parts.append(self.ingredient_encoder.infer(embedded,
+                                                       ingredient_lengths))
+        if self.use_instructions:
+            vectors = np.asarray(sentence_vectors, dtype=np.float64)
+            parts.append(self.instruction_encoder.infer(vectors,
+                                                        sentence_lengths))
+        features = (parts[0] if len(parts) == 1
+                    else np.concatenate(parts, axis=-1))
+        return self.projection.infer(features)

@@ -4,17 +4,35 @@ Wraps the two modality branches, L2-normalizes their outputs into the
 shared cosine latent space, and optionally carries the classifier head
 used by the PWC and AdaMine_ins+cls scenarios (the extra
 "parameter-heavy" layer the paper's semantic loss removes).
+
+With grad off, :meth:`JointEmbeddingModel.embed_recipes` runs the recipe
+branch's plain-numpy ``infer`` and normalizes with the same ops as
+:func:`~repro.autograd.l2_normalize`, building one :class:`Tensor`
+instead of hundreds. Its output is bitwise equal to the autograd
+forward at the same batch shape, so MedR/R@K and every index built
+from :meth:`~JointEmbeddingModel.encode_corpus` are unchanged.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, l2_normalize, no_grad
+from ..autograd import Tensor, is_grad_enabled, l2_normalize, no_grad
 from ..nn import Linear, Module
 from .branches import ImageBranch, RecipeBranch
 
 __all__ = ["JointEmbeddingModel"]
+
+
+def _l2_normalize_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+    """:func:`~repro.autograd.l2_normalize` (last axis) on an array.
+
+    ``clamp_min`` is an ``np.where``, not ``np.maximum``: the two differ
+    on a NaN norm.
+    """
+    norms = (x * x).sum(axis=-1, keepdims=True)
+    norms = np.where(norms > eps, norms, eps)
+    return x / np.sqrt(norms)
 
 
 class JointEmbeddingModel(Module):
@@ -54,7 +72,16 @@ class JointEmbeddingModel(Module):
 
     def embed_recipes(self, ingredient_ids, ingredient_lengths,
                       sentence_vectors, sentence_lengths) -> Tensor:
-        """Recipe text → unit-norm latent embeddings."""
+        """Recipe text → unit-norm latent embeddings.
+
+        With grad off this runs :meth:`RecipeBranch.infer` on plain
+        arrays (bitwise equal to the autograd forward at the same batch
+        shape); with grad on, the autograd forward.
+        """
+        if not is_grad_enabled():
+            return Tensor(_l2_normalize_rows(self.recipe_branch.infer(
+                ingredient_ids, ingredient_lengths,
+                sentence_vectors, sentence_lengths)))
         return l2_normalize(self.recipe_branch(
             ingredient_ids, ingredient_lengths,
             sentence_vectors, sentence_lengths))

@@ -33,12 +33,19 @@ class Embedding(Module):
 
     def forward(self, token_ids: np.ndarray) -> Tensor:
         """Map an integer array (any shape) to embeddings of shape +(dim,)."""
+        return self.weight[self._checked_ids(token_ids)]
+
+    def infer(self, token_ids: np.ndarray) -> np.ndarray:
+        """:meth:`forward` as a plain array (the same rows, bitwise)."""
+        return self.weight.data[self._checked_ids(token_ids)]
+
+    def _checked_ids(self, token_ids) -> np.ndarray:
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.min(initial=0) < 0 or token_ids.max(initial=0) >= self.num_embeddings:
             raise IndexError(
                 f"token id out of range for table of size {self.num_embeddings}"
             )
-        return self.weight[token_ids]
+        return token_ids
 
     @classmethod
     def from_pretrained(cls, vectors: np.ndarray, freeze: bool = True,

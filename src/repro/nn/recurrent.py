@@ -5,6 +5,16 @@ ingredient embeddings and a hierarchical LSTM over instructions
 (a frozen word-level sentence encoder feeding a trainable
 sentence-level LSTM). All sequence handling is mask-aware so padded
 positions never touch the recurrent state.
+
+Beside each ``forward`` sits an ``infer``: the same recurrence on plain
+numpy arrays, for query embedding with grad off. It reads the same
+``Parameter.data`` and repeats the autograd ops in the same order (the
+same slices, ``sigmoid`` as ``1.0 / (1.0 + np.exp(-x))``, padding
+frozen by ``np.where``; only the steps past the longest sequence, whose
+results ``forward`` discards, are skipped), so at the same batch shape
+its outputs are bitwise equal to ``forward``'s — NaN inputs and empty
+sequences included. A change to one forward must be mirrored in the other;
+``tests/test_inference.py`` pins the pair.
 """
 
 from __future__ import annotations
@@ -16,6 +26,20 @@ from .init import orthogonal, xavier_uniform, zeros
 from .module import Module, Parameter
 
 __all__ = ["LSTMCell", "LSTM", "BiLSTM", "reverse_padded"]
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """:meth:`Tensor.sigmoid`'s arithmetic, on an array."""
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _checked_lengths(lengths, batch: int, time: int) -> np.ndarray:
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != (batch,):
+        raise ValueError(f"lengths shape {lengths.shape} != ({batch},)")
+    if time and lengths.max(initial=0) > time:
+        raise ValueError("a sequence length exceeds the padded time axis")
+    return lengths
 
 
 class LSTMCell(Module):
@@ -44,6 +68,19 @@ class LSTMCell(Module):
         h_new = o * c_new.tanh()
         return h_new, c_new
 
+    def infer(self, x: np.ndarray, h: np.ndarray, c: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`forward` on plain arrays, bitwise equal to it."""
+        gates = x @ self.w_input.data + h @ self.w_hidden.data + self.bias.data
+        hd = self.hidden_dim
+        i = _sigmoid(gates[:, 0 * hd:1 * hd])
+        f = _sigmoid(gates[:, 1 * hd:2 * hd])
+        g = np.tanh(gates[:, 2 * hd:3 * hd])
+        o = _sigmoid(gates[:, 3 * hd:4 * hd])
+        c_new = f * c + i * g
+        h_new = o * np.tanh(c_new)
+        return h_new, c_new
+
 
 class LSTM(Module):
     """Run an :class:`LSTMCell` over a padded batch of sequences.
@@ -70,12 +107,7 @@ class LSTM(Module):
 
     def forward(self, x: Tensor, lengths: np.ndarray) -> tuple[Tensor, Tensor]:
         batch, time, _ = x.shape
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.shape != (batch,):
-            raise ValueError(f"lengths shape {lengths.shape} != ({batch},)")
-        if time and lengths.max(initial=0) > time:
-            raise ValueError("a sequence length exceeds the padded time axis")
-
+        lengths = _checked_lengths(lengths, batch, time)
         h = Tensor(np.zeros((batch, self.hidden_dim)))
         c = Tensor(np.zeros((batch, self.hidden_dim)))
         outputs = []
@@ -91,11 +123,31 @@ class LSTM(Module):
             all_out = Tensor(np.zeros((batch, 0, self.hidden_dim)))
         return all_out, h
 
+    def infer(self, x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """:meth:`forward`'s ``final_hidden`` from a plain float64 array.
 
-def reverse_padded(x: Tensor, lengths: np.ndarray) -> Tensor:
+        Bitwise equal to it. Only the final state is built (no inference
+        caller reads per-step outputs), and the loop stops at the
+        longest sequence: past it ``forward``'s ``where`` keeps every
+        row's state, whatever the cell computes.
+        """
+        batch, time, _ = x.shape
+        lengths = _checked_lengths(lengths, batch, time)
+        h = np.zeros((batch, self.hidden_dim))
+        c = np.zeros((batch, self.hidden_dim))
+        for t in range(min(time, int(lengths.max(initial=0)))):
+            h_new, c_new = self.cell.infer(x[:, t, :], h, c)
+            active = (lengths > t)[:, None]  # freeze state on padding
+            h = np.where(active, h_new, h)
+            c = np.where(active, c_new, c)
+        return h
+
+
+def reverse_padded(x, lengths: np.ndarray):
     """Reverse each sequence's valid prefix, leaving padding in place.
 
-    Needed by the backward direction of :class:`BiLSTM`.
+    Needed by the backward direction of :class:`BiLSTM`. ``x`` is a
+    :class:`Tensor` or a plain array; the result is of the same kind.
     """
     batch, time = x.shape[0], x.shape[1]
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -134,3 +186,10 @@ class BiLSTM(Module):
         _, h_forward = self.forward_lstm(x, lengths)
         _, h_backward = self.backward_lstm(reverse_padded(x, lengths), lengths)
         return concat([h_forward, h_backward], axis=-1)
+
+    def infer(self, x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a plain float64 array, bitwise equal to it."""
+        h_forward = self.forward_lstm.infer(x, lengths)
+        h_backward = self.backward_lstm.infer(reverse_padded(x, lengths),
+                                              lengths)
+        return np.concatenate([h_forward, h_backward], axis=-1)

@@ -55,7 +55,6 @@ MAX_STACK_DEPTH = 48
 _ROLE_PREFIXES = (
     ("gateway-conn", "gateway_handler"),
     ("gateway-", "gateway_control"),
-    ("ingest-compaction", "compaction"),
     ("profiler", "profiler"),
     ("loadgen", "loadgen"),
     ("MainThread", "main"),

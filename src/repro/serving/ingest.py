@@ -119,6 +119,7 @@ class CompactionTicket:
     payloads: dict
     sealed_segment: int
     live_items: int
+    tombstones: int
 
 
 @dataclass(frozen=True)
@@ -693,12 +694,14 @@ class Ingestor:
                       for name, overlay in self.overlays.items()}
             payloads = dict(self.payloads)
             self._pending = []
-            live = len(folded[self._names[0]])
-            tombstones = sum(o.tombstones for o in self.overlays.values())
-        ticket = CompactionTicket(
-            epoch=self.epoch + 1, folded=folded, payloads=payloads,
-            sealed_segment=sealed, live_items=live)
-        self._folded_tombstones = tombstones
+            # Every overlay holds the same items, so one overlay's
+            # tombstones are the fold's.
+            first = self.overlays[self._names[0]]
+            ticket = CompactionTicket(
+                epoch=self.epoch + 1, folded=folded, payloads=payloads,
+                sealed_segment=sealed,
+                live_items=len(folded[self._names[0]]),
+                tombstones=first.tombstones)
         self._on_compaction("folded")
         return ticket
 
@@ -739,7 +742,7 @@ class Ingestor:
         self._on_compaction("committed")
         report = CompactionReport(
             epoch=ticket.epoch, live_items=ticket.live_items,
-            folded_tombstones=getattr(self, "_folded_tombstones", 0),
+            folded_tombstones=ticket.tombstones,
             pending_replayed=len(pending), base_file=base_file)
         return report
 

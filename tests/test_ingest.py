@@ -563,6 +563,13 @@ class TestIngestor:
         assert before[1].tobytes() == recovered[1].tobytes()
         reopened.close()
 
+    def test_one_delete_folds_one_tombstone(self, tmp_path):
+        ingestor = Ingestor(tmp_path, _bases())
+        assert len(ingestor.overlays) == 2
+        ingestor.delete(3)
+        assert ingestor.compact().folded_tombstones == 1
+        ingestor.close()
+
     def test_payloads_survive_compaction_and_recovery(self, tmp_path):
         ingestor = Ingestor(tmp_path, _bases())
         rng = RNG(4)

@@ -103,7 +103,6 @@ class TestClassification:
     @pytest.mark.parametrize("name,role", [
         ("gateway-conn-3", "gateway_handler"),
         ("gateway-acceptor", "gateway_control"),
-        ("ingest-compaction", "compaction"),
         ("profiler-sampler", "profiler"),
         ("loadgen-2", "loadgen"),
         ("MainThread", "main"),
@@ -589,7 +588,7 @@ class TestLedgerRssAccounting:
 @pytest.mark.profile
 class TestFlightBundleAcceptance:
     """Induced SlowShard + hot-spin: the bundle's profile must blame
-    the spin on the compaction role and the memory ledger must
+    the spin on the loadgen role and the memory ledger must
     itemize the serving components."""
 
     def test_profile_and_memory_land_in_bundle(self, world, tmp_path):
@@ -605,7 +604,7 @@ class TestFlightBundleAcceptance:
             rng=_random.Random(0), cluster_faults=fault)
         stop = threading.Event()
         spinner = threading.Thread(target=_spin, args=(stop,),
-                                   name="ingest-compaction-hot-9", daemon=True)
+                                   name="loadgen-hot-9", daemon=True)
         spinner.start()
         prof = service.start_profiler(hz=97.0)
         ingredients = known_ingredients(service._active.engine, 2)
@@ -634,7 +633,7 @@ class TestFlightBundleAcceptance:
                   if l and not l.startswith("#")]
         spin_lines = [l for l in folded if "_spin" in l]
         assert spin_lines, "hot spin never sampled"
-        assert all(l.startswith("compaction;")
+        assert all(l.startswith("loadgen;")
                    for l in spin_lines)
         top = top_frames(folded, n=5)
         assert any("_spin" in entry["frame"] for entry in top)
