@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test faults chaos cluster-chaos ingest-chaos overload-chaos gateway-chaos bench quicktest telemetry-test slo-test trace-test profile-test monitor-demo overload-demo gateway-demo profile-demo bench-smoke
+.PHONY: test faults chaos cluster-chaos ingest-chaos overload-chaos gateway-chaos opt-in bench quicktest telemetry-test slo-test trace-test profile-test monitor-demo overload-demo gateway-demo profile-demo bench-smoke
 
 test:            ## full tier-1 suite (RuntimeWarnings are errors; chaos excluded)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -38,6 +38,9 @@ overload-chaos:  ## real-time overload chaos suite (storms, floods, brownout lad
 
 gateway-chaos:   ## real-socket gateway chaos suite (slowloris, floods, drain under load, stale cache)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q -m gateway
+
+opt-in:          ## every real-clock suite excluded from tier-1, in one run
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q -m "chaos or cluster or ingest or overload or gateway or slo or profile"
 
 monitor-demo:    ## run the quality-observability incident demo and render it
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/quality_monitor_demo.py

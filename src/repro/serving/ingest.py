@@ -46,7 +46,8 @@ from ..obs import Telemetry
 from ..retrieval.distance import normalize_rows
 from ..retrieval.index import NearestNeighborIndex, top_k
 from .sharding import merge_topk
-from .wal import DeltaLog, LogPosition, read_manifest, replay_segments
+from .wal import (DeltaLog, LogPosition, _fsync_dir, read_manifest,
+                  replay_segments)
 
 __all__ = ["IngestError", "IngestOp", "IngestAck", "IngestConfig",
            "CompactionTicket", "CompactionReport", "DeltaOverlay",
@@ -124,7 +125,8 @@ class CompactionTicket:
 
 @dataclass(frozen=True)
 class CompactionReport:
-    """What one committed compaction folded."""
+    """What one committed compaction folded; ``pending_replayed``
+    counts the log records that raced the fold, replayed at commit."""
 
     epoch: int
     live_items: int
@@ -419,14 +421,6 @@ class DeltaOverlay:
 # ----------------------------------------------------------------------
 # Ingestor — WAL + overlays + compaction protocol
 # ----------------------------------------------------------------------
-def _fsync_dir(directory: pathlib.Path) -> None:
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def _write_base_snapshot(path: pathlib.Path,
                          indexes: Mapping[str, NearestNeighborIndex],
                          payloads: dict, meta: dict) -> None:
@@ -513,29 +507,18 @@ class Ingestor:
         self._external = fingerprint
         self.epoch = int(meta.get("epoch", 0))
         self._base_file = meta.get("base")
+        payloads = {}
         if self._base_file:
             folded, payloads = _load_base_snapshot(
                 self.directory / self._base_file)
             if sorted(folded) != sorted(bases):
                 raise IngestError("base snapshot index names diverge "
                                   "from the engine's")
-            self.bases = folded
-            self.payloads = payloads
-        else:
-            self.bases = dict(bases)
-            self.payloads = {}
+            bases = folded
         self._clean_stale_bases()
-        self.overlays = {name: DeltaOverlay(index)
-                         for name, index in self.bases.items()}
-        self._names = sorted(self.bases)
-        self.next_id = 1 + max(
-            (int(index.ids.max()) for index in self.bases.values()
-             if len(index)), default=-1)
-        replayed = 0
-        for payload in self.log.replay():
-            self._apply(decode_op(payload))
-            replayed += 1
-        self._pending: list[IngestOp] = []
+        self._names = sorted(bases)
+        self.next_id = 0
+        replayed = self._recover(bases, payloads, self.log.replay())
         self.recovery = {
             "epoch": self.epoch,
             "base": self._base_file or "external",
@@ -591,6 +574,26 @@ class Ingestor:
                                    phase=phase, epoch=self.epoch)
         if self._faults is not None:
             self._faults.on_compaction(phase)
+
+    def _recover(self, bases: Mapping[str, NearestNeighborIndex],
+                 payloads: dict, records) -> int:
+        """Fresh overlays over ``bases``, then each log record in
+        ``records`` applied in order; returns the count.  Boot and
+        ``commit_compaction`` both build state here, so a commit's
+        state is the state a reopen builds (``next_id`` only ever
+        grows, so a commit never re-issues a folded-away id)."""
+        self.bases = dict(bases)
+        self.payloads = dict(payloads)
+        self.overlays = {name: DeltaOverlay(index)
+                         for name, index in self.bases.items()}
+        self.next_id = max(self.next_id, 1 + max(
+            (int(index.ids.max()) for index in self.bases.values()
+             if len(index)), default=-1))
+        replayed = 0
+        for payload in records:
+            self._apply(decode_op(payload))
+            replayed += 1
+        return replayed
 
     def _apply(self, op: IngestOp) -> tuple[int, int | None]:
         """Apply one decoded op to the overlays; returns the merge key
@@ -671,7 +674,6 @@ class Ingestor:
         replaced = op.kind == "add" and first.is_live(op.item_id)
         position = self.log.append(encode_op(op))
         key, replaced_key = self._apply(op)
-        self._pending.append(op)
         self._m_ops.labels(op=op.kind).inc()
         self._update_gauges()
         return IngestAck(op=op, item_id=op.item_id, epoch=self.epoch,
@@ -684,8 +686,8 @@ class Ingestor:
         """Seal the log and fold the overlays into candidate bases.
 
         Queries keep hitting the *live* overlays; mutations landing
-        after the rotation go to the next segment and are tracked as
-        pending — they replay onto the folded state at commit.
+        after the rotation go to the next segment, which the log alone
+        records — commit replays them from there onto the folded state.
         """
         with self._lock:
             sealed = self.log.segment
@@ -693,7 +695,6 @@ class Ingestor:
             folded = {name: overlay.fold()
                       for name, overlay in self.overlays.items()}
             payloads = dict(self.payloads)
-            self._pending = []
             # Every overlay holds the same items, so one overlay's
             # tombstones are the fold's.
             first = self.overlays[self._names[0]]
@@ -709,9 +710,14 @@ class Ingestor:
                           ) -> CompactionReport:
         """Persist the fold and promote it; exactly-once by manifest.
 
-        Writes that raced the fold are replayed onto the fresh
-        overlays, so they read exactly like a recovered log.
+        The checkpoint starts the log at this ticket's rotation, so the
+        records left in it are the writes that raced the fold: they are
+        read first, then replayed over the fold as boot recovery does.
+        A ticket whose epoch another commit took raises IngestError.
         """
+        if ticket.epoch != self.epoch + 1:
+            raise IngestError(f"stale compaction ticket: epoch "
+                              f"{ticket.epoch} is already committed")
         base_file = f"base-{ticket.epoch:06d}.npz"
         _write_base_snapshot(self.directory / base_file, ticket.folded,
                              ticket.payloads,
@@ -721,30 +727,20 @@ class Ingestor:
             self.log.checkpoint(
                 {"epoch": ticket.epoch, "base": base_file,
                  "external": self._external},
-                segment=self.log.segment)
+                segment=ticket.sealed_segment + 1)
             self._on_compaction("manifest_written")
-            old_base = self._base_file
+            raced = list(self.log.replay())
+            replayed = self._recover(ticket.folded, ticket.payloads, raced)
             self._base_file = base_file
-            self.bases = dict(ticket.folded)
-            self.overlays = {name: DeltaOverlay(index)
-                             for name, index in self.bases.items()}
-            self.payloads = dict(ticket.payloads)
-            pending = list(self._pending)
-            for op in pending:
-                self._apply(op)
             self.epoch = ticket.epoch
-            if old_base and old_base != base_file:
-                stale = self.directory / old_base
-                if stale.exists():
-                    stale.unlink()
+            self._clean_stale_bases()
             self._update_gauges()
         self._m_compactions.labels(result="committed").inc()
         self._on_compaction("committed")
-        report = CompactionReport(
+        return CompactionReport(
             epoch=ticket.epoch, live_items=ticket.live_items,
             folded_tombstones=ticket.tombstones,
-            pending_replayed=len(pending), base_file=base_file)
-        return report
+            pending_replayed=replayed, base_file=base_file)
 
     def abort_compaction(self, ticket: CompactionTicket) -> None:
         """Discard a fold (e.g. canary veto).  Nothing to roll back:

@@ -1126,12 +1126,13 @@ class ResilientSearchService:
         :meth:`swap_corpus`; only then does the WAL checkpoint commit
         it (the manifest write is the single commit point — dying on
         either side of it recovers without loss or double-apply).
-        Writes that land while canaries run are replayed onto the new
-        generation before it goes live, through the same path boot
-        recovery takes, so a query stream racing the swap observes
-        every acknowledged item exactly once.  Never raises for
-        operational faults.  Nothing calls it on a timer, so a serving
-        process's delta grows until a caller folds it.
+        Writes that land while canaries run are replayed from the log
+        onto the new generation before it goes live, as boot recovery
+        does, so a racing query stream sees every acknowledged item
+        exactly once; a fold an overlapping compaction beat is rolled
+        back.  Never raises for operational faults.  Nothing calls it
+        on a timer, so a serving process's delta grows until a caller
+        folds it.
         """
         started = self._clock()
         old = self._active

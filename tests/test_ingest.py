@@ -12,6 +12,9 @@ The kill -9 / crash-mid-compaction / racing-query chaos schedules
 live in ``test_ingest_chaos.py`` behind the ``ingest`` marker.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -602,6 +605,84 @@ class TestIngestor:
         assert reopened.recovery["replayed_records"] == 1
         assert reopened.overlays["image"].is_live(racing.item_id)
         reopened.close()
+
+    def test_overlapping_compactions_keep_every_write(self, tmp_path):
+        ingestor = Ingestor(tmp_path, _bases())
+        rng = RNG(9)
+        first = ingestor.add(_vectors(rng))
+        older = ingestor.begin_compaction()
+        raced = ingestor.add(_vectors(rng))  # in older's rotation only
+        newer = ingestor.begin_compaction()
+        last = ingestor.add(_vectors(rng))
+        report = ingestor.commit_compaction(older)
+        assert report.pending_replayed == 2
+        acked = [first.item_id, raced.item_id, last.item_id]
+        for overlay in ingestor.overlays.values():
+            assert all(overlay.is_live(item) for item in acked)
+        # newer was sealed before older committed: it must not
+        # overwrite the committed base or move the manifest
+        committed = (tmp_path / report.base_file).read_bytes()
+        manifest = read_manifest(tmp_path)
+        with pytest.raises(IngestError, match="epoch"):
+            ingestor.commit_compaction(newer)
+        ingestor.abort_compaction(newer)
+        assert (tmp_path / report.base_file).read_bytes() == committed
+        assert read_manifest(tmp_path) == manifest
+        ingestor.close()
+        reopened = Ingestor(tmp_path, _bases())
+        assert reopened.epoch == 1
+        assert reopened.recovery["replayed_records"] == 2
+        for overlay in reopened.overlays.values():
+            assert all(overlay.is_live(item) for item in acked)
+        reopened.close()
+
+    def test_commit_read_error_keeps_old_overlays(self, tmp_path,
+                                                   monkeypatch):
+        ingestor = Ingestor(tmp_path, _bases())
+        rng = RNG(11)
+        first = ingestor.add(_vectors(rng))
+        ticket = ingestor.begin_compaction()
+        raced = ingestor.add(_vectors(rng))
+        overlays = ingestor.overlays
+
+        def unreadable():  # a generator, like the real replay
+            raise OSError(5, "simulated read error")
+            yield
+
+        monkeypatch.setattr(ingestor.log, "replay", unreadable)
+        with pytest.raises(OSError, match="simulated read error"):
+            ingestor.commit_compaction(ticket)
+        assert ingestor.overlays is overlays
+        assert ingestor.epoch == 0
+        assert all(overlays["image"].is_live(ack.item_id)
+                   for ack in (first, raced))
+        ingestor.close()
+        # the manifest did move: a reopen serves the fold plus the
+        # raced write, with nothing lost or applied twice
+        reopened = Ingestor(tmp_path, _bases())
+        assert reopened.epoch == 1
+        assert reopened.recovery["replayed_records"] == 1
+        assert reopened.overlays["image"].live_count == 22
+        reopened.close()
+
+    def test_unfolded_writes_retain_no_ops(self, tmp_path):
+        ingestor = Ingestor(tmp_path, _bases())
+        rng = RNG(10)
+        ops = []
+        for step in range(60):
+            ack = ingestor.add(_vectors(rng))
+            ops.append(weakref.ref(ack.op))
+            if step % 3 == 1:
+                ack = ingestor.add(_vectors(rng), item_id=ack.item_id)
+                ops.append(weakref.ref(ack.op))
+            elif step % 3 == 2:
+                ack = ingestor.delete(ack.item_id)
+                ops.append(weakref.ref(ack.op))
+        del ack  # the test's own last acknowledgement
+        gc.collect()
+        assert ingestor.log.lag_records == len(ops) == 100
+        assert [ref for ref in ops if ref() is not None] == []
+        ingestor.close()
 
     def test_stale_base_files_cleaned_at_open(self, tmp_path):
         ingestor = Ingestor(tmp_path, _bases())
