@@ -13,6 +13,7 @@ through ``bench_record_serving`` instead and land in
 ``BENCH_serving.json``.
 """
 
+import itertools
 import time
 
 import numpy as np
@@ -32,8 +33,8 @@ from repro.obs import (AlertManager, BurnRateWindow, GoldenProbe,
                        default_serving_slos)
 from repro.retrieval import RetrievalProtocol
 from repro.retrieval.index import NearestNeighborIndex
-from repro.serving import (DegradedRanker, ResilientSearchService,
-                           ServiceConfig)
+from repro.serving import (ClusterConfig, DegradedRanker,
+                           ResilientSearchService, ServiceConfig)
 from repro.vision import MLPEncoder
 
 
@@ -276,6 +277,81 @@ def test_bench_degraded_rank_ingredients_50k(benchmark, bench_record,
     assert np.array_equal(distances.view(np.int64),
                           want_distances.view(np.int64))
     bench_record(float(distances[0]), benchmark)
+
+
+# ----------------------------------------------------------------------
+# The serving stack's fixed cost per search
+# ----------------------------------------------------------------------
+def _wire_world():
+    """``wire-model-2k``'s engine: untrained AdaMine over 2k pairs."""
+    from perfbench import inputs
+
+    wire = inputs.wire_inputs(1)
+    dataset = inputs.wire_dataset(1)
+    corpus = wire.featurizer.encode_corpus(dataset,
+                                           np.arange(len(dataset)))
+    engine = RecipeSearchEngine(
+        inputs.wire_model(wire.featurizer, dataset, 1), wire.featurizer,
+        dataset, corpus)
+    queries = [request["ingredients"] for request in wire.requests
+               if "ingredients" in request]
+    return engine, ServiceConfig(deadline=5.0), queries
+
+
+def _fanout_world():
+    """``fanout-write-20k``'s 20k stub rows behind a 4x2 cluster."""
+    from perfbench import inputs
+
+    stub = inputs.stub_inputs(1, 20_000)
+    ids = np.arange(len(stub.image_rows))
+    indexes = tuple(
+        NearestNeighborIndex(rows, ids=ids,
+                             class_ids=stub.corpus.true_class_ids)
+        for rows in (stub.image_rows, stub.recipe_rows))
+    engine = RecipeSearchEngine(stub.embedder, stub.featurizer,
+                                stub.dataset, stub.corpus,
+                                indexes=indexes)
+    return engine, ServiceConfig(
+        deadline=5.0, cluster=ClusterConfig(num_shards=4,
+                                            replication=2)), stub.queries
+
+
+@pytest.mark.parametrize("world", ["wire", "fanout"])
+def test_bench_served_search_overhead(benchmark, bench_record, world):
+    """A served ingredient search against the bare engine call it
+    wraps, on the same queries: the difference is what admission,
+    spans, metrics, the cluster and the outcome record cost per
+    request.  Rows must agree and distances match bit for bit; the two
+    are timed call by call, interleaved, and their medians recorded."""
+    engine, config, queries = {"wire": _wire_world,
+                               "fanout": _fanout_world}[world]()
+    queries = queries[:64]
+    service = ResilientSearchService(engine, config)
+    for query in queries:
+        served = service.search_by_ingredients(query, k=10).results
+        bare = engine.search_by_ingredients(query, k=10)
+        assert [r.corpus_row for r in served] == [r.corpus_row
+                                                   for r in bare]
+        assert np.array_equal(
+            np.array([r.distance for r in served]).view(np.int64),
+            np.array([r.distance for r in bare]).view(np.int64))
+    times = {"served": [], "bare": []}
+    calls = {"served": service.search_by_ingredients,
+             "bare": engine.search_by_ingredients}
+    for round_ in range(600 if world == "wire" else 150):
+        query = queries[round_ % len(queries)]
+        for name, call in calls.items():
+            started = time.perf_counter()
+            call(query, k=10)
+            times[name].append(time.perf_counter() - started)
+    served_ms = float(np.median(times["served"])) * 1e3
+    bare_ms = float(np.median(times["bare"])) * 1e3
+    cycle = itertools.cycle(queries)
+    benchmark(lambda: service.search_by_ingredients(next(cycle), k=10))
+    bench_record(bare_ms, name=f"bare_search_{world}_ms")
+    bench_record(served_ms, name=f"served_search_{world}_ms")
+    bench_record(served_ms - bare_ms, benchmark,
+                 name=f"served_overhead_{world}_ms")
 
 
 # ----------------------------------------------------------------------

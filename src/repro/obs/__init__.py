@@ -85,7 +85,6 @@ class JsonlWriter:
             parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._handle = open(path, "a")
-        self.lines_written = 0
 
     def __call__(self, record: dict) -> None:
         line = json.dumps(json_safe(record), sort_keys=True,
@@ -95,7 +94,6 @@ class JsonlWriter:
                 return
             self._handle.write(line + "\n")
             self._handle.flush()     # crash-safe: every line lands
-            self.lines_written += 1
 
     def close(self) -> None:
         with self._lock:

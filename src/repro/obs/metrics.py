@@ -168,11 +168,6 @@ class Histogram:
         with self._lock:
             return dict(self._exemplars)
 
-    def time(self, clock=None):
-        """A :class:`~repro.obs.timing.Timer` feeding this histogram."""
-        from .timing import Timer
-        return Timer(self, clock=clock) if clock is not None else Timer(self)
-
     @property
     def count(self) -> int:
         with self._lock:
@@ -265,6 +260,7 @@ class _Family:
         self.buckets = tuple(buckets) if buckets is not None else None
         self._lock = threading.Lock()
         self._children: dict[tuple[str, ...], object] = {}
+        self._bound: dict[tuple, object] = {}   # str values -> child
 
     def _make_child(self):
         if self.kind == "histogram":
@@ -276,19 +272,34 @@ class _Family:
             raise MetricError(
                 f"{self.name} expects labels {self.label_names}, "
                 f"got {tuple(sorted(label_values))}")
-        key = tuple(str(label_values[n]) for n in self.label_names)
-        with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = self._make_child()
-                self._children[key] = child
-            return child
+        return self.child(*(label_values[n] for n in self.label_names))
+
+    def child(self, *values):
+        """The child for label ``values`` in declaration order.  The
+        first call per tuple finds or makes it under the family lock;
+        an all-``str`` tuple is then bound, so later calls are one dict
+        read with no lock.  Other values are not bound: ``True`` and
+        ``1`` are one dict key but two label values."""
+        child = self._bound.get(values)
+        if child is None:
+            if len(values) != len(self.label_names):
+                raise MetricError(
+                    f"{self.name} expects {len(self.label_names)} label "
+                    f"values {self.label_names}, got {values!r}")
+            key = tuple(str(value) for value in values)
+            with self._lock:
+                child = self._children.get(key)
+                if child is None:
+                    child = self._children[key] = self._make_child()
+                if all(type(value) is str for value in values):
+                    self._bound[values] = child
+        return child
 
     def _default(self):
         if self.label_names:
             raise MetricError(f"{self.name} has labels "
                               f"{self.label_names}; call .labels(...)")
-        return self.labels()
+        return self.child()
 
     # Label-free families proxy straight to their single child.
     def inc(self, amount: float = 1.0) -> None:
@@ -302,9 +313,6 @@ class _Family:
 
     def observe(self, value: float, trace_id=None) -> None:
         self._default().observe(value, trace_id=trace_id)
-
-    def time(self):
-        return self._default().time()
 
     @property
     def value(self) -> float:

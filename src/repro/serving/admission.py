@@ -110,6 +110,10 @@ class TenantPolicy:
                              f"{CRITICALITIES}")
 
 
+#: The policy an unconfigured tenant is admitted under.
+_UNKNOWN_TENANT = TenantPolicy("default")
+
+
 @dataclass(frozen=True)
 class BrownoutConfig:
     """Degradation-ladder tuning.
@@ -168,14 +172,6 @@ class AdmissionConfig:
         """
         return cls(max_queue_depth=0, initial_limit=limit,
                    min_limit=limit, max_limit=limit)
-
-    def policy(self, tenant: str) -> TenantPolicy:
-        for policy in self.tenants:
-            if policy.name == tenant:
-                return policy
-        # Unknown tenants share the default *policy* but not its
-        # bucket/queue lane — isolation by name, not by config entry.
-        return TenantPolicy(tenant)
 
 
 @dataclass(frozen=True)
@@ -564,22 +560,28 @@ class AdmissionController:
         self._queue = FairQueue(
             max_depth=self.config.max_queue_depth,
             drop_if=self._dead_in_queue, on_drop=self._on_queue_drop)
+        # First entry per name.  Unknown tenants share the default
+        # *policy* but not its bucket/queue lane (isolation by name).
+        self._policies: dict[str, TenantPolicy] = {}
         for policy in self.config.tenants:
             self._queue.set_weight(policy.name, policy.weight)
+            self._policies.setdefault(policy.name, policy)
         self._m_limit = self._m_inflight = None
         self._m_queued = self._m_queue_wait = None
+        # (inflight, queued) as last written: rewrite only what moved.
+        self._gauged = (0, 0)
         if registry is not None:
             self._m_limit = registry.gauge(
                 "admission_limit",
-                "current adaptive concurrency limit")
+                "current adaptive concurrency limit").child()
             self._m_limit.set(self.limiter.limit)
             self._m_inflight = registry.gauge(
                 "admission_inflight", "requests holding an admission "
-                "slot")
+                "slot").child()
             self._m_inflight.set(0)
             self._m_queued = registry.gauge(
                 "admission_queued", "requests waiting in the fair "
-                "queue")
+                "queue").child()
             self._m_queued.set(0)
             self._m_queue_wait = registry.histogram(
                 "admission_queue_wait_seconds",
@@ -648,7 +650,7 @@ class AdmissionController:
     # -- the two calls the service makes -----------------------------
     def acquire(self, tenant: str, criticality: str | None,
                 deadline: Deadline) -> AdmissionDecision:
-        policy = self.config.policy(tenant)
+        policy = self._policies.get(tenant, _UNKNOWN_TENANT)
         criticality = criticality or policy.criticality
         if criticality not in CRITICALITIES:
             raise ValueError(f"unknown criticality {criticality!r}; "
@@ -758,7 +760,7 @@ class AdmissionController:
         return demand / max(self.limiter.limit, 1)
 
     def _dispatch_locked(self) -> None:
-        while self._inflight < self.limiter.limit:
+        while self._queue and self._inflight < self.limiter.limit:
             served = self._queue.pop()
             if served is None:
                 break
@@ -768,6 +770,11 @@ class AdmissionController:
         self._update_gauges_locked()
 
     def _update_gauges_locked(self) -> None:
-        if self._m_inflight is not None:
-            self._m_inflight.set(self._inflight)
-            self._m_queued.set(len(self._queue))
+        if self._m_inflight is None:
+            return
+        inflight, queued = self._inflight, len(self._queue)
+        if inflight != self._gauged[0]:
+            self._m_inflight.set(inflight)
+        if queued != self._gauged[1]:
+            self._m_queued.set(queued)
+        self._gauged = (inflight, queued)

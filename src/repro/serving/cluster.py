@@ -85,10 +85,6 @@ _BREAKER_RESET_AFTER = 30.0
 _BREAKER_HALF_OPEN_SUCCESSES = 1
 
 
-class _ReplicaDown(RuntimeError):
-    """A replica refused or failed an attempt; the chain fails over."""
-
-
 @dataclass(frozen=True)
 class ClusterConfig:
     """Topology of one :class:`IndexCluster`."""
@@ -170,6 +166,7 @@ class _Shard:
     def __init__(self, shard_id: int, positions: np.ndarray,
                  replicas: list[ShardReplica]):
         self.shard_id = shard_id
+        self.label = str(shard_id)     # its metric label value
         self.positions = positions
         self.replicas = replicas
 
@@ -234,8 +231,7 @@ class IndexCluster:
         # ``_live`` once, first, and writes publish it last.
         self._topology_lock = threading.Lock()
         self._stats_lock = threading.Lock()
-        self._next_query_id = 0
-        self._queries = 0
+        self._next_query_id = 0        # also the query count
         self._failovers = 0
         self._rebuilds = 0
         self._partials = 0
@@ -448,7 +444,7 @@ class IndexCluster:
     def describe(self) -> dict:
         """Topology + health snapshot; per-shard ``items`` are sealed rows."""
         with self._stats_lock:
-            totals = {"queries": self._queries,
+            totals = {"queries": self._next_query_id,
                       "failovers": self._failovers,
                       "rebuilds": self._rebuilds,
                       "partials": self._partials}
@@ -471,15 +467,6 @@ class IndexCluster:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _validate(self, k: int, class_id: int | None) -> None:
-        """Caller-contract checks, synchronous and fan-out-free, so
-        invalid queries raise :class:`ValueError` exactly like the
-        monolithic index."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if class_id is not None and self._class_ids is None:
-            raise ValueError("index built without class metadata")
-
     def query(self, vector: np.ndarray, k: int = 5,
               class_id: int | None = None,
               deadline: Deadline | None = None) -> ClusterResult:
@@ -494,13 +481,15 @@ class IndexCluster:
         unknown metadata).
         """
         live = self._live        # snapshot before reading other arrays
-        # A caller error is no query: it neither counts nor moves the
-        # query-id-keyed fault schedules.
-        self._validate(k, class_id)
+        # A caller error raises like the monolithic index and is no
+        # query: it neither counts nor moves the fault schedules.
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        if class_id is not None and self._class_ids is None:
+            raise ValueError("index built without class metadata")
         with self._stats_lock:
             query_id = self._next_query_id
             self._next_query_id += 1
-            self._queries += 1
         if self._faults is not None:
             self._faults.on_cluster_query(query_id, self)
         # An already-blown request budget means every shard answer
@@ -523,39 +512,43 @@ class IndexCluster:
             failovers += shard_failovers
             if outcome is not None:
                 answered.append(outcome)
+        shards_answered = len(answered)
         # One scan of the live streamed rows, merged as one more part
-        # (skipped, like the shards, once the budget is gone).
-        selector = live[self._sealed:] & (not expired)
-        if class_id is not None:
-            selector &= self._class_ids[self._sealed:len(live)] == class_id
-        slots = np.flatnonzero(selector)
-        segment = top_k(self._segment[slots], self._sealed + slots, vector, k)
-        positions, distances = merge_topk(answered + [segment], k)
+        # (skipped once the budget is gone or while none exist).
+        if len(live) > self._sealed and not expired:
+            selector = live[self._sealed:]
+            if class_id is not None:
+                selector = selector & (
+                    self._class_ids[self._sealed:len(live)] == class_id)
+            slots = np.flatnonzero(selector)
+            answered.append(top_k(self._segment[slots],
+                                  self._sealed + slots, vector, k))
+        positions, distances = merge_topk(answered, k)
         result = ClusterResult(
             ids=self._ids[positions], distances=distances,
             shards_total=len(self.shards),
-            shards_answered=len(answered), failovers=failovers)
+            shards_answered=shards_answered, failovers=failovers)
         self._account(result)
         self.anti_entropy()
         return result
 
     def _account(self, result: ClusterResult) -> None:
+        partial = result.partial
         outcome = ("unanswered" if result.shards_answered == 0
-                   else "partial" if result.partial else "ok")
-        self._m_queries.labels(cluster=self.name, outcome=outcome).inc()
-        with self._stats_lock:
-            self._failovers += result.failovers
-            if result.partial:
-                self._partials += 1
-        if result.partial:
-            self._m_partials.labels(cluster=self.name).inc()
+                   else "partial" if partial else "ok")
+        self._m_queries.child(self.name, outcome).inc()
+        if result.failovers or partial:
+            with self._stats_lock:
+                self._failovers += result.failovers
+                if partial:
+                    self._partials += 1
+        if partial:
+            self._m_partials.child(self.name).inc()
         # Quality distributions per answered fan-out; Histogram drops
         # the NaN from empty results.
         if result.shards_answered > 0:
-            self._m_top1.labels(cluster=self.name).observe(
-                result.top1_distance)
-            self._m_margin.labels(cluster=self.name).observe(
-                result.margin)
+            self._m_top1.child(self.name).observe(result.top1_distance)
+            self._m_margin.child(self.name).observe(result.margin)
 
     # ------------------------------------------------------------------
     # Per-shard execution: failover
@@ -572,61 +565,49 @@ class IndexCluster:
         ordered = [rep for rep in shard.replicas if rep.available()]
         failovers = len(shard.replicas) - len(ordered)
         if failovers:
-            self._m_failovers.labels(cluster=self.name,
-                                     shard=shard.shard_id).inc(failovers)
+            self._m_failovers.child(self.name, shard.label).inc(
+                failovers)
         for rep in ordered:
             if budget is not None and budget.expired:
                 break
-            try:
-                answer = self._attempt(
-                    shard, rep, query_id,
-                    lambda: rep.index.query(
-                        vector, k=k, class_id=class_id, mask=mask))
-            except _ReplicaDown:
+            answer = self._attempt(shard, rep, query_id, vector, k,
+                                   class_id, mask)
+            if answer is None:
                 failovers += 1
-                self._m_failovers.labels(
-                    cluster=self.name, shard=shard.shard_id).inc()
+                self._m_failovers.child(self.name, shard.label).inc()
                 continue
             if budget is not None and budget.expired:
                 break     # landed after the carve: dropped
             return answer, failovers
         return None, failovers
 
-    def _attempt(self, shard: _Shard, rep: ShardReplica,
-                 query_id: int, call):
-        """One replica attempt with health accounting.
-
-        Raises :class:`_ReplicaDown` on any operational failure so the
-        chain fails over; returns the (positions, distances) answer on
-        success.
-        """
+    def _attempt(self, shard: _Shard, rep: ShardReplica, query_id: int,
+                 vector, k: int, class_id: int | None,
+                 mask: np.ndarray | None):
+        """One replica's scan with health accounting: its ``(positions,
+        distances)``, or ``None`` when the replica is dead, raises or
+        answers non-finite distances, and the chain fails over."""
         if not rep.alive:
-            raise _ReplicaDown(f"shard {shard.shard_id} replica "
-                               f"{rep.replica_id} is dead")
+            return None
         if self._faults is not None:
             self._faults.on_replica_query(query_id, shard.shard_id,
                                           rep.replica_id)
         if not rep.alive:  # the fault hook may have crashed it
-            raise _ReplicaDown(f"shard {shard.shard_id} replica "
-                               f"{rep.replica_id} is dead")
+            return None
         started = self._clock()
         try:
             # A corrupted replica must surface as a failover, not as
             # FP warnings escaping from the query.
             with np.errstate(all="ignore"):
-                positions, distances = call()
-        except Exception as exc:
+                positions, distances = rep.index.query(
+                    vector, k=k, class_id=class_id, mask=mask)
+        except Exception:
             rep.breaker.record_failure()
-            raise _ReplicaDown(
-                f"shard {shard.shard_id} replica {rep.replica_id}: "
-                f"{type(exc).__name__}: {exc}") from exc
-        elapsed = self._clock() - started
-        self._m_shard_latency.labels(cluster=self.name,
-                                     shard=shard.shard_id).observe(elapsed)
-        if not bool(np.all(np.isfinite(distances))):
+            return None
+        self._m_shard_latency.child(self.name, shard.label).observe(
+            self._clock() - started)
+        if not np.isfinite(distances).all():
             rep.breaker.record_failure()
-            raise _ReplicaDown(
-                f"shard {shard.shard_id} replica {rep.replica_id}: "
-                f"non-finite distances")
+            return None
         rep.breaker.record_success()
         return positions, distances

@@ -121,6 +121,7 @@ class CompactionTicket:
     sealed_segment: int
     live_items: int
     tombstones: int
+    next_id: int          # kept in the manifest: never re-issue an id
 
 
 @dataclass(frozen=True)
@@ -517,7 +518,8 @@ class Ingestor:
             bases = folded
         self._clean_stale_bases()
         self._names = sorted(bases)
-        self.next_id = 0
+        # A fold drops deleted ids; the manifest remembers them.
+        self.next_id = int(meta.get("next_id", 0))
         replayed = self._recover(bases, payloads, self.log.replay())
         self.recovery = {
             "epoch": self.epoch,
@@ -702,7 +704,7 @@ class Ingestor:
                 epoch=self.epoch + 1, folded=folded, payloads=payloads,
                 sealed_segment=sealed,
                 live_items=len(folded[self._names[0]]),
-                tombstones=first.tombstones)
+                tombstones=first.tombstones, next_id=self.next_id)
         self._on_compaction("folded")
         return ticket
 
@@ -726,7 +728,7 @@ class Ingestor:
         with self._lock:
             self.log.checkpoint(
                 {"epoch": ticket.epoch, "base": base_file,
-                 "external": self._external},
+                 "external": self._external, "next_id": ticket.next_id},
                 segment=ticket.sealed_segment + 1)
             self._on_compaction("manifest_written")
             raced = list(self.log.replay())

@@ -70,6 +70,8 @@ def merge_topk(parts, k: int) -> tuple[np.ndarray, np.ndarray]:
     :meth:`~repro.retrieval.index.NearestNeighborIndex.query_positions`
     returns — and truncated to ``k``.  Returns ``(positions,
     distances)``.
+    Each part must already be in that order, as every scan returns
+    it, so a lone non-empty part is only cut to ``k``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -79,6 +81,8 @@ def merge_topk(parts, k: int) -> tuple[np.ndarray, np.ndarray]:
     if not pairs:
         return (np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.float64))
+    if len(pairs) == 1:
+        return pairs[0][0][:k], pairs[0][1][:k]
     positions = np.concatenate([p for p, __ in pairs])
     distances = np.concatenate([d for __, d in pairs])
     order = np.lexsort((positions, distances))[:k]

@@ -18,6 +18,7 @@ from repro.serving.gateway import (BadRequest, CacheConfig, Gateway,
                                    ResultCache, SHED_STATUS_CODES,
                                    STATUS_CODES,
                                    normalize_search_request,
+                                   _canonical, _digest,
                                    parse_deadline_header,
                                    query_fingerprint)
 from repro.serving.service import ResilientSearchService, STATUSES
@@ -121,6 +122,33 @@ def test_fingerprint_stable_under_permutation(request, data):
         return value
     padded = {key: pad(value) for key, value in shuffled.items()}
     assert query_fingerprint(request) == query_fingerprint(padded)
+
+
+_search_body = st.one_of(
+    st.fixed_dictionaries({
+        "ingredients": st.lists(st.text(" \tchicken", min_size=1,
+                                        max_size=10), min_size=1,
+                                max_size=4)}),
+    st.fixed_dictionaries({"recipe_id": st.integers(-3, 3)},
+                          optional={"without": st.text(" \tnuts",
+                                                       max_size=8)}),
+).flatmap(lambda body: st.fixed_dictionaries(
+    {key: st.just(value) for key, value in body.items()},
+    optional={"k": st.one_of(st.integers(1, 100),
+                             st.integers(1, 100).map(float)),
+              "class_name": st.one_of(st.none(),
+                                      st.text(" \tpie", max_size=6))}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(body=_search_body)
+def test_normalized_request_is_already_canonical(body):
+    """The gateway fingerprints ``normalize_search_request``'s output
+    without canonicalizing it again; that is only the same digest
+    :func:`query_fingerprint` gives if the output is a fixed point."""
+    normalized = normalize_search_request(body)
+    assert _canonical(normalized) == normalized
+    assert _digest(normalized) == query_fingerprint(normalized)
 
 
 # ----------------------------------------------------------------------

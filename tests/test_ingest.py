@@ -584,6 +584,20 @@ class TestIngestor:
         assert reopened.payloads[ack.item_id] == {"title": "stew"}
         reopened.close()
 
+    def test_folded_away_id_is_not_reissued_after_reopen(self, tmp_path):
+        # Base ids 0-19: item 20 is added, deleted and folded away, so
+        # the new base's largest id is 19 again; the manifest must
+        # still say that 20 was handed out.
+        ingestor = Ingestor(tmp_path, _bases())
+        rng = RNG(6)
+        assert ingestor.add(_vectors(rng)).item_id == 20
+        ingestor.delete(20)
+        ingestor.compact()
+        ingestor.close()
+        reopened = Ingestor(tmp_path, _bases())
+        assert reopened.add(_vectors(rng)).item_id == 21
+        reopened.close()
+
     def test_writes_racing_compaction_replay_on_commit(self, tmp_path):
         ingestor = Ingestor(tmp_path, _bases())
         rng = RNG(5)

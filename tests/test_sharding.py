@@ -93,6 +93,27 @@ class TestMergeTopK:
         with pytest.raises(ValueError, match="k must be"):
             merge_topk([], 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 30),
+           k=st.integers(1, 35), nans=st.booleans())
+    def test_lone_scan_part_equals_the_full_merge(self, seed, n, k, nans):
+        # A lone part skips the sort: a scan's answer (ties and NaN
+        # rows included) must already be in the merge's order.
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(n, 4))
+        rows[rng.random(n) < 0.3] = rows[0]         # exact ties
+        if nans:
+            rows[rng.random(n) < 0.3] = np.nan
+        index = NearestNeighborIndex(rows)
+        with np.errstate(invalid="ignore"):
+            positions, distances = index.query_positions(
+                rng.normal(size=4), k=n)
+        merged = merge_topk([(positions, distances)], k)
+        order = np.lexsort((positions, distances))[:k]
+        assert np.array_equal(merged[0], positions[order])
+        assert np.array_equal(merged[1].view(np.int64),
+                              distances[order].view(np.int64))
+
 
 def _cluster_world(num_items: int, seed: int):
     rng = np.random.default_rng(seed)
